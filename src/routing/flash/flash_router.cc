@@ -15,10 +15,7 @@ FlashRouter::FlashRouter(const Graph& graph, const FeeSchedule& fees,
       rng_(config.seed) {}
 
 RouteResult FlashRouter::route(const Transaction& tx, NetworkState& state) {
-  const bool elephant =
-      is_elephant(tx.amount) ||
-      (config_.m_mice_paths == 0 && config_.mice_as_elephants_when_m0);
-  if (elephant) {
+  if (routes_as_elephant(tx.amount)) {
     ElephantConfig ec;
     ec.max_paths = config_.k_elephant_paths;
     ec.optimize_fees = config_.optimize_fees;
@@ -35,6 +32,24 @@ RouteResult FlashRouter::route(const Transaction& tx, NetworkState& state) {
           : route_mice(*graph_, tx, state, *fees_, table_, rng_, scratch_);
   r.elephant = false;
   return r;
+}
+
+bool FlashRouter::start_prefetch(std::size_t helpers) {
+  // Helpers compute unmasked paths. And if even amount 0 routes as an
+  // elephant, so does every positive amount: no mouse ever reaches the
+  // table.
+  if (open_mask_ || routes_as_elephant(0)) return false;
+  return table_.start_prefetch(helpers);
+}
+
+void FlashRouter::prefetch(const Transaction& tx) {
+  // Exactly the payments whose route() reaches table_.lookup: mice that
+  // pass route_mice's (and route_mice_waterfill's) early return.
+  if (routes_as_elephant(tx.amount) || tx.amount <= 0 ||
+      tx.sender == tx.receiver) {
+    return;
+  }
+  table_.prefetch(tx.sender, tx.receiver);
 }
 
 std::size_t FlashRouter::apply_topology_delta(std::span<const EdgeId> closed,

@@ -86,6 +86,14 @@ class FlashRouter : public Router {
   std::size_t apply_topology_delta(std::span<const EdgeId> closed,
                                    std::span<const EdgeId> reopened,
                                    bool strict) override;
+  /// Yen prefetch for the mice table: helpers compute the paths of hinted
+  /// mice whose pair the table lacks (see MiceRoutingTable::start_prefetch).
+  /// Refused while an open mask is installed or when every payment routes
+  /// as an elephant.
+  bool start_prefetch(std::size_t helpers) override;
+  void prefetch(const Transaction& tx) override;
+  void stop_prefetch() override { table_.stop_prefetch(); }
+
   /// Mirrors make_router's FlashConfig::seed derivation (sim/experiment.cc)
   /// so reseeding equals constructing afresh with the same seed.
   void reseed(std::uint64_t seed) override {
@@ -113,6 +121,12 @@ class FlashRouter : public Router {
   /// Classification rule: amount >= elephant_threshold is an elephant.
   bool is_elephant(Amount amount) const noexcept {
     return amount >= config_.elephant_threshold;
+  }
+  /// Whether route() sends this amount down the elephant pipeline (true
+  /// for every amount in the m = 0 upper-bound configuration).
+  bool routes_as_elephant(Amount amount) const noexcept {
+    return is_elephant(amount) ||
+           (config_.m_mice_paths == 0 && config_.mice_as_elephants_when_m0);
   }
 
   /// The configuration the router was built with.

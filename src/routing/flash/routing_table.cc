@@ -1,17 +1,189 @@
 #include "routing/flash/routing_table.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 
 #include "graph/yen.h"
+#include "util/thread_pool.h"
 
 namespace flash {
 
 // Entries are keyed by pair_key(sender, receiver) from graph/types.h (the
 // shared checked NodeId-packing helper).
 
+// The prefetch helpers and their requests, keyed like entries_. Every field
+// below `mutex` is guarded by it. Each request is one task on the helper
+// pool (FIFO, so helpers work in hint order); a task runs Yen outside the
+// lock, in its helper thread's own GraphScratch and into its own buffer,
+// so helpers share nothing with the table's thread besides this struct
+// and the immutable graph.
+struct MiceRoutingTable::Prefetcher {
+  enum class State : std::uint8_t { kQueued, kRunning, kDone };
+  struct Request {
+    NodeId sender = 0;
+    NodeId receiver = 0;
+    State state = State::kQueued;
+    std::vector<Path> paths;   // raw Yen output, once kDone
+    std::exception_ptr error;  // the helper's Yen threw
+  };
+
+  Prefetcher(const Graph& g, std::size_t paths, std::size_t helpers)
+      : graph(&g), k(paths), pool(helpers) {}
+  // Pool tasks hold `this`. The pool is the last member, so it is
+  // destroyed first: it runs every task still queued (a no-op for a
+  // dropped request) and joins before the state they touch goes away.
+  Prefetcher(const Prefetcher&) = delete;
+  Prefetcher& operator=(const Prefetcher&) = delete;
+
+  /// Queues a request unless the pair already has one; true if queued.
+  bool request(std::uint64_t key, NodeId sender, NodeId receiver) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      const auto [it, fresh] = requests.try_emplace(key);
+      if (!fresh) return false;
+      it->second.sender = sender;
+      it->second.receiver = receiver;
+    }
+    pool.submit([this, key] { run(key); });
+    return true;
+  }
+
+  /// Helper task: computes the request for `key` if one is still queued
+  /// (it may have been taken inline or dropped since).
+  void run(std::uint64_t key) {
+    std::unique_lock<std::mutex> lock(mutex);
+    auto it = requests.find(key);
+    if (it == requests.end() || it->second.state != State::kQueued) return;
+    it->second.state = State::kRunning;
+    ++running;
+    ++started;
+    const NodeId from = it->second.sender;
+    const NodeId to = it->second.receiver;
+    lock.unlock();
+    thread_local GraphScratch scratch;  // one per helper thread
+    std::vector<Path> paths;
+    std::exception_ptr error;
+    try {
+      yen_core(*graph, from, to, k, scratch, UnitWeight{}, paths);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    // Still present: the owner waits for running requests (take(),
+    // discard_all()) and never erases one.
+    Request& r = requests.at(key);
+    r.paths = std::move(paths);
+    r.error = error;
+    r.state = State::kDone;
+    --running;
+    ++completed;
+    finished.notify_all();
+  }
+
+  /// Serves a lookup miss of `key`, counting how in `stats`: true when a
+  /// finished result (or a running one, once it finishes) was moved into
+  /// `out`; a queued request is dropped so the caller computes it inline.
+  bool take(std::uint64_t key, std::vector<Path>& out, PrefetchStats& stats) {
+    std::unique_lock<std::mutex> lock(mutex);
+    auto it = requests.find(key);
+    if (it == requests.end()) return false;
+    if (it->second.state == State::kQueued) {
+      requests.erase(it);
+      ++stats.computed_inline;
+      return false;
+    }
+    if (it->second.state == State::kRunning) {
+      ++stats.waited_running;
+      finished.wait(lock, [&] {
+        return requests.at(key).state == State::kDone;
+      });
+      it = requests.find(key);
+    } else {
+      ++stats.took_finished;
+    }
+    const std::exception_ptr error = it->second.error;
+    out.swap(it->second.paths);
+    requests.erase(it);
+    if (error) std::rethrow_exception(error);
+    return true;
+  }
+
+  /// Drops every request: queued and finished ones at once, running ones
+  /// once they finish (no new one starts meanwhile: nothing is queued).
+  /// Returns the number dropped.
+  std::size_t discard_all() {
+    std::unique_lock<std::mutex> lock(mutex);
+    std::size_t dropped = std::erase_if(requests, [](const auto& kv) {
+      return kv.second.state != State::kRunning;
+    });
+    finished.wait(lock, [this] { return running == 0; });
+    dropped += requests.size();
+    requests.clear();
+    return dropped;
+  }
+
+  /// Adds the helper-side counters to `stats`.
+  void add_helper_stats(PrefetchStats& stats) {
+    std::lock_guard<std::mutex> lock(mutex);
+    stats.started += started;
+    stats.completed += completed;
+  }
+
+  const Graph* graph;
+  std::size_t k;
+
+  std::mutex mutex;
+  std::condition_variable finished;  // a running request finished
+  std::unordered_map<std::uint64_t, Request> requests;
+  std::size_t running = 0;
+  std::uint64_t started = 0;
+  std::uint64_t completed = 0;
+
+  ThreadPool pool;  // last: see the constructor
+};
+
 MiceRoutingTable::MiceRoutingTable(const Graph& graph,
                                    RoutingTableConfig config)
     : graph_(&graph), config_(config) {}
+
+MiceRoutingTable::~MiceRoutingTable() { stop_prefetch(); }
+
+bool MiceRoutingTable::start_prefetch(std::size_t helpers) {
+  if (helpers == 0 || open_mask_) return false;
+  if (!prefetch_) {
+    prefetch_ = std::make_unique<Prefetcher>(
+        *graph_, config_.paths_per_receiver + config_.spare_paths, helpers);
+  }
+  return true;
+}
+
+void MiceRoutingTable::prefetch(NodeId sender, NodeId receiver) {
+  if (!prefetch_ || open_mask_) return;
+  const auto key = pair_key(sender, receiver);
+  if (entries_.contains(key)) return;
+  if (prefetch_->request(key, sender, receiver)) ++prefetch_stats_.requested;
+}
+
+void MiceRoutingTable::stop_prefetch() {
+  if (!prefetch_) return;
+  prefetch_stats_.discarded += prefetch_->discard_all();
+  prefetch_->add_helper_stats(prefetch_stats_);
+  prefetch_.reset();
+}
+
+PrefetchStats MiceRoutingTable::prefetch_stats() const {
+  PrefetchStats stats = prefetch_stats_;
+  if (prefetch_) prefetch_->add_helper_stats(stats);
+  return stats;
+}
+
+bool MiceRoutingTable::take_prefetched(std::uint64_t key,
+                                       std::vector<Path>& paths) {
+  return prefetch_ && !open_mask_ &&
+         prefetch_->take(key, paths, prefetch_stats_);
+}
 
 const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
                                                   NodeId receiver,
@@ -33,7 +205,9 @@ const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
   if (it == entries_.end()) {
     Entry entry;
     auto& paths = scratch.path_list_buf;
-    if (open_mask_) {
+    if (take_prefetched(key, paths)) {
+      // A helper ran exactly the Yen below (unmasked branch) for this pair.
+    } else if (open_mask_) {
       // Masked topology: closed edges cost kEdgeBanned, which dijkstra_core
       // skips before pushing — the search behaves exactly as if the edge
       // were absent, so results match Yen on the open-channel subgraph.
@@ -166,7 +340,10 @@ void MiceRoutingTable::undo_release(std::uint64_t mark) {
   undo_base_ += n;
 }
 
-void MiceRoutingTable::clear() { entries_.clear(); }
+void MiceRoutingTable::clear() {
+  entries_.clear();
+  if (prefetch_) prefetch_stats_.discarded += prefetch_->discard_all();
+}
 
 std::size_t MiceRoutingTable::invalidate_closed_paths() {
   // Affected-set rule: an entry dies iff any path it could ever serve —

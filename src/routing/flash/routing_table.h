@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -41,16 +42,39 @@ struct RoutingTableConfig {
   std::size_t max_hops = 0;
 };
 
+/// Where Yen work went while a table was prefetching (see
+/// MiceRoutingTable::start_prefetch). Plain value type.
+struct PrefetchStats {
+  /// Yen requests queued by prefetch().
+  std::uint64_t requested = 0;
+  /// Requests a helper picked up, and how many of those it finished.
+  std::uint64_t started = 0;
+  std::uint64_t completed = 0;
+  /// How lookup misses with a request were served: a finished result, a
+  /// running one waited for, or a still-queued one computed inline.
+  std::uint64_t took_finished = 0;
+  std::uint64_t waited_running = 0;
+  std::uint64_t computed_inline = 0;
+  /// Requests dropped unconsumed by clear() or stop_prefetch().
+  std::uint64_t discarded = 0;
+};
+
 /// NOT thread-safe: lookup() mutates the entry cache and the eviction
 /// clock. Each concurrently running FlashRouter owns its own table. The
-/// Graph is borrowed and must outlive the table.
+/// Graph is borrowed and must outlive the table. The prefetch helpers are
+/// internal: every public member is still called from one thread.
 class MiceRoutingTable {
  public:
   MiceRoutingTable(const Graph& graph, RoutingTableConfig config);
+  /// Stops prefetching first: no helper outlives the table.
+  ~MiceRoutingTable();
+  MiceRoutingTable(const MiceRoutingTable&) = delete;
+  MiceRoutingTable& operator=(const MiceRoutingTable&) = delete;
 
   /// Active paths for (sender, receiver); computes and inserts them on
   /// first use. The returned reference is invalidated by any non-const
-  /// call. `computed` (optional out) reports whether Yen ran.
+  /// call. `computed` (optional out) reports whether this call inserted a
+  /// freshly computed entry (Yen ran here or on a prefetch helper).
   const std::vector<Path>& lookup(NodeId sender, NodeId receiver,
                                   bool* computed = nullptr);
 
@@ -66,12 +90,38 @@ class MiceRoutingTable {
   bool replace_dead_path(NodeId sender, NodeId receiver, const Path& path);
 
   /// Recomputes nothing eagerly; drops everything so the next lookups
-  /// recompute on the fresh topology (periodic refresh, §3.3).
+  /// recompute on the fresh topology (periodic refresh, §3.3). Outstanding
+  /// prefetch requests are dropped too (waiting for running ones).
   void clear();
+
+  // --- Yen prefetch (sequential scenario engine) ---------------------------
+  //
+  // A miss's Yen depends only on the graph, the pair and k, never on the
+  // ledger or on which pairs were looked up before. So while the graph is
+  // unmasked, helper threads may compute upcoming pairs' paths ahead of
+  // their lookup: lookup() then takes the finished result, waits for a
+  // running one, or computes a still-queued one inline, and filters,
+  // inserts, journals and counts it exactly as if it had run Yen itself.
+  // Entries, spares and computations() are identical with or without it.
+
+  /// Starts `helpers` helper threads, each with its own GraphScratch.
+  /// Returns false (and does nothing) for 0 helpers or with an open mask
+  /// installed; true if prefetch is running (already running: unchanged).
+  bool start_prefetch(std::size_t helpers);
+  /// Queues a Yen request for (sender, receiver) unless the pair is cached
+  /// or already requested. No-op unless prefetch is running and unmasked.
+  void prefetch(NodeId sender, NodeId receiver);
+  /// Cancels queued requests, lets running ones finish, joins the helpers
+  /// and drops every unconsumed result. Idempotent.
+  void stop_prefetch();
+  /// Totals since construction, over every start_prefetch/stop_prefetch.
+  PrefetchStats prefetch_stats() const;
 
   /// Installs (or clears) the open-edge mask: when set, lookup's Yen runs
   /// with closed edges weighted out (kEdgeBanned), so computed paths only
   /// use open channels. Borrowed; caller keeps it alive and current.
+  /// Prefetched results are computed unmasked, so lookups ignore them (and
+  /// prefetch() queues nothing) while a mask is installed.
   void set_open_mask(const unsigned char* mask) noexcept { open_mask_ = mask; }
 
   /// Drops every entry holding a cached path (active or unconsumed spare)
@@ -140,8 +190,18 @@ class MiceRoutingTable {
   std::vector<UndoRecord> undo_log_;
   std::uint64_t undo_base_ = 0;  // marks count released prefix records
   bool undo_armed_ = false;
+  // Helper threads and their request map (defined in routing_table.cc);
+  // null while not prefetching. A stopped prefetcher's stats fold into
+  // prefetch_stats_.
+  struct Prefetcher;
+  std::unique_ptr<Prefetcher> prefetch_;
+  PrefetchStats prefetch_stats_;
 
   void evict_stale();
+  /// Serves a lookup miss from a prefetch request if one exists: true when
+  /// `paths` now holds its Yen result (false: no request, or a queued one
+  /// the caller must compute inline).
+  bool take_prefetched(std::uint64_t key, std::vector<Path>& paths);
 };
 
 }  // namespace flash

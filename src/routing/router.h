@@ -6,6 +6,7 @@
 // through NetworkState's probing interface, which meters probe messages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -86,6 +87,23 @@ class Router {
   /// routers. Lets a patched router match a freshly built one stream-for-
   /// stream (the scenario engine reseeds per (sender, view version)).
   virtual void reseed(std::uint64_t /*seed*/) {}
+
+  // --- Lookahead prefetch (sequential scenario engine) -------------------
+  //
+  // The engine can show a router the payments it will route next. A router
+  // may precompute topology-only state for them on background threads, as
+  // long as every route() result stays bit-identical to running without
+  // the hints. Routers with nothing to precompute override nothing, and
+  // the engine then reads no arrivals ahead.
+
+  /// Starts precomputing hinted payments on `helpers` background threads.
+  /// Returns whether prefetch is running (default: never).
+  virtual bool start_prefetch(std::size_t /*helpers*/) { return false; }
+  /// Hint: `tx` will be routed soon (in hint order). No-op by default.
+  virtual void prefetch(const Transaction& /*tx*/) {}
+  /// Cancels pending precomputation and joins the helper threads; no
+  /// helper outlives this call. Idempotent.
+  virtual void stop_prefetch() {}
 
   // --- Speculative routing (concurrent engine; see sim/concurrent.cc) ---
   //

@@ -187,15 +187,12 @@ struct ScenarioEngine::ConcurrentRuntime {
   std::vector<LogEntry*> chunk_table;  // sized kMaxChunks once, no realloc
   std::size_t log_size = 0;
 
-  // Stream read-ahead shared by dispatch and arrival staging: the deque
-  // holds transactions [preread_base, preread_base + preread.size()).
-  std::deque<Transaction> preread;
-  std::size_t preread_base = 0;
-
+  // Dispatch reads the stream through the engine's read-ahead (shared
+  // with arrival staging), which keeps every entry from dispatched_end on
+  // while spec_on.
   std::size_t dispatched_end = 0;  // payments dispatched for speculation
   std::size_t next_consume = 0;    // next arrival index to settle
   bool spec_on = false;            // dispatch active (pristine era only)
-  bool stream_dead = false;        // stream ended earlier than advertised
 
   std::vector<Amount> truth_snapshot;  // full-resync scratch
   std::vector<EdgeId> inline_edges;    // inline-route write scratch
@@ -234,35 +231,6 @@ struct ScenarioEngine::ConcurrentRuntime {
       const LogEntry& le =
           chunk_table[w.sync_pos >> kChunkBits][w.sync_pos & kChunkMask];
       if (le.src != w.id) w.mirror->mirror_balance(le.edge, le.value);
-    }
-  }
-
-  // --- Stream read-ahead ---------------------------------------------------
-
-  bool ensure_preread(std::size_t idx, WorkloadStream& s) {
-    while (preread_base + preread.size() <= idx) {
-      Transaction tx;
-      if (!s.next(tx)) {
-        stream_dead = true;
-        return false;
-      }
-      preread.push_back(tx);
-    }
-    return true;
-  }
-
-  const Transaction& preread_at(std::size_t idx) const {
-    return preread[idx - preread_base];
-  }
-
-  /// Drops entries both cursors have passed. `staged` is the engine's
-  /// next_arrival_; while dispatch is live its cursor holds entries too.
-  void trim_preread(std::size_t staged) {
-    const std::size_t keep = spec_on ? std::min(staged, dispatched_end)
-                                     : staged;
-    while (preread_base < keep && !preread.empty()) {
-      preread.pop_front();
-      ++preread_base;
     }
   }
 
@@ -589,8 +557,8 @@ void ScenarioEngine::end_replay() {
 
 void ScenarioEngine::replay_pump() {
   ConcurrentRuntime& rt = *concurrent_;
-  if (!rt.spec_on || rt.stream_dead) {
-    rt.trim_preread(next_arrival_);
+  if (!rt.spec_on || read_ahead_.dead) {
+    release_read_ahead();
     return;
   }
   const std::size_t total = stream_->size();
@@ -602,8 +570,8 @@ void ScenarioEngine::replay_pump() {
     std::size_t actual = 0;
     for (; actual < chunk; ++actual) {
       const std::size_t idx = rt.dispatched_end + actual;
-      if (!rt.ensure_preread(idx, *stream_)) break;
-      const Transaction& tx = rt.preread_at(idx);
+      if (!read_ahead_.fill(idx, *stream_)) break;
+      const Transaction& tx = read_ahead_.at(idx);
       const std::uint32_t wid =
           static_cast<std::uint32_t>(tx.sender % rt.workers.size());
       rt.pending_tasks[wid].push_back(
@@ -632,19 +600,12 @@ void ScenarioEngine::replay_pump() {
     rt.dispatched_end += actual;
     if (actual < chunk) break;  // stream exhausted early
   }
-  rt.trim_preread(next_arrival_);
+  release_read_ahead();
 }
 
-bool ScenarioEngine::preread_pop(Transaction& tx) {
-  ConcurrentRuntime& rt = *concurrent_;
-  if (!rt.ensure_preread(next_arrival_, *stream_)) return false;
-  tx = rt.preread_at(next_arrival_);
-  if (!rt.spec_on) {
-    // Dispatch is dead (post-churn): nothing else will trim, so drop
-    // everything up to and including this entry right away.
-    rt.trim_preread(next_arrival_ + 1);
-  }
-  return true;
+std::size_t ScenarioEngine::replay_dispatch_end() const {
+  const ConcurrentRuntime& rt = *concurrent_;
+  return rt.spec_on ? rt.dispatched_end : SIZE_MAX;
 }
 
 RouteResult ScenarioEngine::replay_route(std::size_t tx_index,

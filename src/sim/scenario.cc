@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "graph/topology.h"
+#include "util/thread_pool.h"
 
 namespace flash {
 
@@ -385,6 +386,8 @@ ScenarioResult ScenarioEngine::run() {
   }
   if (cfg_.concurrency.execution == ScenarioExecution::kReplay) {
     begin_replay();
+  } else {
+    start_prefetch();
   }
 
   // Arrivals are staged LAZILY, one at a time: arrival i enters the heap
@@ -486,6 +489,7 @@ ScenarioResult ScenarioEngine::run() {
     }
     if (track_htlc_truth_) drain_truth_log();
   }
+  stop_prefetch();
   if (concurrent_) end_replay();
 
   std::size_t bad = 0;
@@ -510,14 +514,63 @@ ScenarioResult ScenarioEngine::run() {
   return result_;
 }
 
+bool ScenarioEngine::ReadAhead::fill(std::size_t idx,
+                                     WorkloadStream& stream) {
+  while (base + buf.size() <= idx) {
+    Transaction tx;
+    if (!stream.next(tx)) {
+      dead = true;
+      return false;
+    }
+    buf.push_back(tx);
+  }
+  return true;
+}
+
+void ScenarioEngine::ReadAhead::release(std::size_t keep) {
+  while (base < keep && !buf.empty()) {
+    buf.pop_front();
+    ++base;
+  }
+}
+
+void ScenarioEngine::release_read_ahead() {
+  std::size_t keep = next_arrival_;
+  if (concurrent_) keep = std::min(keep, replay_dispatch_end());
+  read_ahead_.release(keep);
+}
+
+void ScenarioEngine::start_prefetch() {
+  const std::size_t helpers = ThreadPool::hardware_threads() - 1;
+  prefetching_ = helpers > 0 && stream_->size() > 0 &&
+                 base_router_->start_prefetch(helpers);
+}
+
+void ScenarioEngine::prefetch_ahead() {
+  const std::size_t end =
+      std::min(stream_->size(), next_arrival_ + kPrefetchDepth);
+  prefetch_end_ = std::max(prefetch_end_, next_arrival_);
+  for (; prefetch_end_ < end; ++prefetch_end_) {
+    if (!read_ahead_.fill(prefetch_end_, *stream_)) return;
+    base_router_->prefetch(read_ahead_.at(prefetch_end_));
+  }
+}
+
+void ScenarioEngine::stop_prefetch() {
+  if (!prefetching_) return;
+  prefetching_ = false;
+  base_router_->stop_prefetch();
+}
+
 void ScenarioEngine::stage_next_arrival() {
   if (next_arrival_ >= stream_->size()) return;
-  Transaction tx;
-  // Replay reads the stream ahead of staging (speculative dispatch), so
-  // staging must pull from the shared read-ahead buffer, not the stream.
-  if (concurrent_ ? !preread_pop(tx) : !stream_->next(tx)) {
+  if (prefetching_) prefetch_ahead();
+  // Staging reads through the shared read-ahead: replay dispatch and
+  // prefetch may have read this payment from the stream already.
+  if (!read_ahead_.fill(next_arrival_, *stream_)) {
     return;  // stream shorter than advertised
   }
+  const Transaction tx = read_ahead_.at(next_arrival_);
   // Congestion-collapse warp: arrivals inside the window compress by the
   // factor (a rate spike), later arrivals shift earlier by the saved
   // time. The mapping is monotone, so trace order survives the clamp.
@@ -544,6 +597,7 @@ void ScenarioEngine::stage_next_arrival() {
   events_.push(Event{t, next_arrival_, EventType::kArrival, next_arrival_});
   staged_tx_ = tx;
   ++next_arrival_;
+  release_read_ahead();
 }
 
 void ScenarioEngine::attempt_payment(std::size_t tx_index,
@@ -1327,6 +1381,8 @@ bool ScenarioEngine::close_channel_now(std::size_t c) {
   }
   open_[c] = 0;
   ++truth_version_;
+  // The pristine router routes nothing from here on: end its prefetch.
+  stop_prefetch();
   pristine_ = false;
   ++result_.channels_closed;
   if (!ever_churned_[c]) {

@@ -35,7 +35,8 @@
 // Memory model (Lightning-scale since the streaming refactor):
 //   - Transactions arrive through a WorkloadStream and are scheduled
 //     lazily, one staged arrival at a time: O(1) workload memory for
-//     generated streams of any length.
+//     generated streams of any length (plus a bounded read-ahead while
+//     replay dispatch or Yen prefetch looks ahead).
 //   - Gossip views share one bootstrap baseline (see gossip/node_view.h):
 //     O(channels) total, not O(nodes x channels).
 //   - Per-sender routing state lives in a bounded LRU
@@ -47,6 +48,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -623,6 +625,28 @@ class ScenarioEngine {
   void schedule(double time, EventType type, std::size_t a = 0,
                 std::size_t b = 0);
   void stage_next_arrival();
+  /// Drops read-ahead entries every cursor has passed: staging, and replay
+  /// dispatch while it is live.
+  void release_read_ahead();
+
+  // --- Yen prefetch (pristine era, sequential execution) -----------------
+  //
+  // The pristine router sees each payment up to kPrefetchDepth arrivals
+  // before it routes, through Router::prefetch, so a Flash router's
+  // helpers can run the mice table's Yen ahead of the arrival cursor.
+  // Exact because the pristine router's graph is immutable and unmasked;
+  // see docs/ARCHITECTURE.md "Yen prefetch in the pristine era".
+
+  /// Payments hinted ahead of the staged arrival while prefetch runs.
+  static constexpr std::size_t kPrefetchDepth = 1024;
+  /// Starts the pristine router's prefetch on hardware_threads() - 1
+  /// helpers (none on a 1-thread host: the plain path runs unchanged).
+  void start_prefetch();
+  /// Hints every payment up to kPrefetchDepth past the staging cursor.
+  void prefetch_ahead();
+  /// Ends prefetch for good (pristine era over, or run() done): the
+  /// router cancels its queue and joins its helpers. Idempotent.
+  void stop_prefetch();
   void attempt_payment(std::size_t tx_index, std::size_t attempt);
   /// Stages the router's holds (abort on `ledger`, remember edges/amounts
   /// in staged_edges_/staged_amounts_, translating view edges to physical
@@ -696,9 +720,9 @@ class ScenarioEngine {
   /// After a rebalance rewrote the truth wholesale: publishes every edge
   /// through the replay log so worker mirrors converge on their next sync.
   void replay_publish_all_edges();
-  /// Arrival staging via the dispatch read-ahead buffer (replay reads the
-  /// stream ahead of staging; both must see the same transactions).
-  bool preread_pop(Transaction& tx);
+  /// Read-ahead entries from this stream index on are still needed by
+  /// replay dispatch (no limit once dispatch is over).
+  std::size_t replay_dispatch_end() const;
   /// The free-order engine: no event loop, workers commit under striped
   /// locks. Requires zero dynamics and zero retries (validated).
   ScenarioResult run_free_order();
@@ -770,6 +794,24 @@ class ScenarioEngine {
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::uint64_t event_seq_ = 0;
   std::unordered_map<std::size_t, PendingPayment> pending_;
+
+  // Stream read-ahead shared by arrival staging, replay dispatch and Yen
+  // prefetch: stream transactions [base, base + buf.size()), read but not
+  // yet released by every cursor. Staging alone keeps it at depth 0 (one
+  // entry in, one out), so streamed runs without read-ahead stay O(1).
+  struct ReadAhead {
+    std::deque<Transaction> buf;
+    std::size_t base = 0;
+    bool dead = false;  // the stream ended earlier than advertised
+    /// Reads the stream through index `idx`; false if it ended first.
+    bool fill(std::size_t idx, WorkloadStream& stream);
+    const Transaction& at(std::size_t idx) const { return buf[idx - base]; }
+    /// Releases every entry below stream index `keep`.
+    void release(std::size_t keep);
+  };
+  ReadAhead read_ahead_;
+  bool prefetching_ = false;      // the pristine router is prefetching
+  std::size_t prefetch_end_ = 0;  // next stream index to hint
   std::size_t next_arrival_ = 0;      // index of the next stream payment
   double prev_arrival_time_ = 0;      // arrival-time monotonicity clamp
   Transaction staged_tx_;             // payment of the staged arrival event

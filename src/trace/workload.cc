@@ -24,10 +24,14 @@ Workload::Workload(Graph graph, std::vector<Amount> initial_balances,
 }
 
 NetworkState Workload::make_state(double capacity_scale) const {
-  NetworkState state(graph_);
-  for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
-    state.set_balance(e, initial_balances_[e] * capacity_scale);
+  // One bulk assignment: per-edge set_balance would recompute every
+  // channel deposit per edge, O(edges x channels).
+  std::vector<Amount> scaled(initial_balances_.size());
+  for (std::size_t e = 0; e < scaled.size(); ++e) {
+    scaled[e] = initial_balances_[e] * capacity_scale;
   }
+  NetworkState state(graph_);
+  state.assign_balances(scaled);
   return state;
 }
 
