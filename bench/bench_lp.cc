@@ -90,8 +90,7 @@ const std::vector<ProbedInstance>& probed_instances() {
 }
 
 void BM_LpCore_SolveLp(benchmark::State& state) {
-  // Representative program (1): k paths, one equality + per-edge caps
-  // (the same shape BM_SimplexFeeSplit in micro_algorithms tracks).
+  // Representative program (1): k paths, one equality + per-edge caps.
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(8);
   LpProblem lp;

@@ -1,17 +1,16 @@
 // Microbenchmarks (google-benchmark): the algorithmic building blocks.
 //
 // These are not figures from the paper; they quantify the cost of each
-// primitive on realistic topology sizes so that regressions in the graph /
-// LP layers are caught by numbers, not vibes.
+// primitive on realistic topology sizes so that regressions in the graph
+// layer are caught by numbers, not vibes. BFS, Yen, elephant probing and
+// the simplex fee split are measured on their scratch-based cores by
+// bench_graph_core and bench_lp.
 #include <benchmark/benchmark.h>
 
-#include "graph/bfs.h"
 #include "graph/edge_disjoint.h"
 #include "graph/maxflow.h"
 #include "graph/topology.h"
-#include "graph/yen.h"
-#include "lp/simplex.h"
-#include "routing/flash/elephant.h"
+#include "ledger/network_state.h"
 #include "util/rng.h"
 
 namespace flash {
@@ -32,29 +31,6 @@ NetworkState make_loaded_state(const Graph& g) {
   s.assign_lognormal_split(250, 1.0, rng);
   return s;
 }
-
-void BM_BfsPath(benchmark::State& state) {
-  const Graph& g = ripple_graph();
-  Rng rng(3);
-  for (auto _ : state) {
-    const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    benchmark::DoNotOptimize(bfs_path(g, s, t));
-  }
-}
-BENCHMARK(BM_BfsPath);
-
-void BM_YenKShortestPaths(benchmark::State& state) {
-  const Graph& g = ripple_graph();
-  Rng rng(4);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    benchmark::DoNotOptimize(yen_k_shortest_paths(g, s, t, k));
-  }
-}
-BENCHMARK(BM_YenKShortestPaths)->Arg(4)->Arg(8);
 
 void BM_EdgeDisjointPaths(benchmark::State& state) {
   const Graph& g = ripple_graph();
@@ -79,47 +55,6 @@ void BM_EdmondsKarp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EdmondsKarp);
-
-void BM_ElephantProbing(benchmark::State& state) {
-  const Graph& g = ripple_graph();
-  NetworkState s = make_loaded_state(g);
-  Rng rng(7);
-  for (auto _ : state) {
-    const auto src = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto dst = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    benchmark::DoNotOptimize(
-        elephant_find_paths(g, src, dst, 1e6, 20, s));
-  }
-}
-BENCHMARK(BM_ElephantProbing);
-
-void BM_SimplexFeeSplit(benchmark::State& state) {
-  // Representative program (1): k paths, one equality + per-edge caps.
-  const auto k = static_cast<std::size_t>(state.range(0));
-  Rng rng(8);
-  LpProblem lp;
-  lp.objective.resize(k);
-  for (auto& c : lp.objective) c = rng.uniform(0.001, 0.1);
-  LpConstraint demand;
-  demand.coeffs.assign(k, 1.0);
-  demand.rel = Relation::kEq;
-  demand.rhs = 1.0;
-  lp.constraints.push_back(demand);
-  for (std::size_t i = 0; i < 3 * k; ++i) {
-    LpConstraint cap;
-    cap.coeffs.assign(k, 0.0);
-    for (std::size_t j = 0; j < k; ++j) {
-      if (rng.chance(0.3)) cap.coeffs[j] = 1.0;
-    }
-    cap.rel = Relation::kLessEq;
-    cap.rhs = rng.uniform(0.2, 2.0);
-    lp.constraints.push_back(std::move(cap));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_lp(lp));
-  }
-}
-BENCHMARK(BM_SimplexFeeSplit)->Arg(4)->Arg(20)->Arg(30);
 
 void BM_TopologyGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -32,6 +32,25 @@ struct UnitWeight {
   double operator()(EdgeId) const { return 1.0; }
 };
 
+/// Unit weight over the edges an open mask admits: 1 where mask[e] != 0,
+/// kEdgeBanned elsewhere, so a closed channel direction behaves exactly as
+/// if it were absent. `mask` must cover every edge id of the graph searched.
+struct MaskedUnitWeight {
+  const unsigned char* mask;
+  double operator()(EdgeId e) const { return mask[e] ? 1.0 : kEdgeBanned; }
+};
+
+/// True for a *hop weight*: a weight type whose every edge costs 1 or
+/// kEdgeBanned. dijkstra_core runs s->t queries under a hop weight in its
+/// hop-count loop (see there), which is exact only under that guarantee;
+/// specialise it for a new type only if the type can return nothing else.
+template <typename WeightFn>
+inline constexpr bool kIsHopWeight = false;
+template <>
+inline constexpr bool kIsHopWeight<UnitWeight> = true;
+template <>
+inline constexpr bool kIsHopWeight<MaskedUnitWeight> = true;
+
 /// Result of a single-pair shortest path query.
 struct DijkstraResult {
   Path path;          // empty when t unreachable (or s == t)
@@ -67,6 +86,19 @@ struct DijkstraCoreResult {
 /// unbounded search, so any path found is bit-identical to the unbounded
 /// one — callers may prune with it whenever they would discard costlier
 /// results anyway (Yen's candidate bound).
+///
+/// Under a hop weight (kIsHopWeight) an s->t query stops as soon as t is
+/// first labeled, and skips an already-labeled head before its ban and
+/// weight lookups. Both are exact: nodes pop in non-decreasing distance,
+/// so a later relaxation of a labeled node offers d + 1 >= its label and
+/// never replaces it. The heap's push/pop sequence up to t's first label
+/// is that of the full loop, so found, distance and path are bit-identical
+/// to it, cutoff included.
+///
+/// Contract: after an s->t query, scratch.dist/scratch.parent hold only a
+/// partial tree: whatever was labeled before the search stopped. Read an
+/// s->t result only through the return value and `path_out`; only
+/// all-targets mode leaves the full tree behind.
 template <typename WeightFn>
 DijkstraCoreResult dijkstra_core(
     const Graph& g, NodeId s, NodeId t, GraphScratch& scratch,
@@ -105,8 +137,9 @@ DijkstraCoreResult dijkstra_core(
   const bool finalized = g.finalized();
   // The search loop, stamped out once per ban mode so the per-edge ban
   // checks vanish entirely from the no-bans instantiation (the branch
-  // would otherwise run for every relaxed edge).
-  auto search = [&](auto bans) {
+  // would otherwise run for every relaxed edge), and once more per ban
+  // mode as the hop-count loop (`hops`) that hop weights run.
+  auto search = [&](auto bans, auto hops) {
     while (!heap.empty()) {
       const auto [d, u] = heap.front();
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -114,40 +147,57 @@ DijkstraCoreResult dijkstra_core(
       if (d > cutoff) break;  // everything still queued costs > cutoff
       if (d > dist.get_or(u, inf)) continue;  // stale entry
       if (u == t) break;  // never taken in all-targets mode
+      // True once the hop-count loop has labeled t: that label is final.
       auto relax = [&](EdgeId e, NodeId v) {
+        if constexpr (hops.value) {
+          if (dist.contains(v)) return false;  // label d' + 1 <= d + 1
+        }
         if constexpr (bans.value) {
-          if (nban.get_or(v, 0)) return;
-          if (eban.get_or(e, 0)) return;
+          if (nban.get_or(v, 0)) return false;
+          if (eban.get_or(e, 0)) return false;
         }
         const double w = weight(e);
-        if (w == kEdgeBanned) return;
+        if (w == kEdgeBanned) return false;
         const double nd = d + w;
         if (nd < dist.get_or(v, inf)) {
           dist.set(v, nd);
           parent.set(v, e);
+          if (hops.value && v == t) return true;
           heap.push_back({nd, v});
           std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
+        return false;
       };
       if (finalized) {
         // Packed-arc loop: head node in the same sequential stream as the
         // edge id (see Graph::out_arcs); relaxation order is identical.
-        for (const Graph::Arc a : g.out_arcs(u)) relax(a.edge, a.head);
+        for (const Graph::Arc a : g.out_arcs(u)) {
+          if (relax(a.edge, a.head)) return;
+        }
       } else {
-        for (EdgeId e : g.out_edges(u)) relax(e, g.to(e));
+        for (EdgeId e : g.out_edges(u)) {
+          if (relax(e, g.to(e))) return;
+        }
       }
     }
   };
+  auto run = [&](auto bans) {
+    if constexpr (kIsHopWeight<std::remove_cvref_t<WeightFn>>) {
+      if (!all_targets) return search(bans, std::true_type{});
+    }
+    search(bans, std::false_type{});
+  };
   if (use_bans) {
-    search(std::true_type{});
+    run(std::true_type{});
   } else {
-    search(std::false_type{});
+    run(std::false_type{});
   }
   if (all_targets || !scratch.dist.contains(t)) return result;
   // Under a finite cutoff the loop can stop with t carrying a tentative
   // (unsettled, possibly non-optimal) label > cutoff; only a settled t —
   // which always has dist <= cutoff, else the u == t break could not have
-  // run — counts as found.
+  // run — counts as found. The hop-count loop's label of t is final when
+  // set, so the same test decides.
   if (scratch.dist.get(t) > cutoff) return result;
   result.found = true;
   result.distance = scratch.dist.get(t);

@@ -211,11 +211,9 @@ const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
       // Masked topology: closed edges cost kEdgeBanned, which dijkstra_core
       // skips before pushing — the search behaves exactly as if the edge
       // were absent, so results match Yen on the open-channel subgraph.
-      const unsigned char* mask = open_mask_;
-      yen_core(
-          *graph_, sender, receiver,
-          config_.paths_per_receiver + config_.spare_paths, scratch,
-          [mask](EdgeId e) { return mask[e] ? 1.0 : kEdgeBanned; }, paths);
+      yen_core(*graph_, sender, receiver,
+               config_.paths_per_receiver + config_.spare_paths, scratch,
+               MaskedUnitWeight{open_mask_}, paths);
     } else {
       yen_core(*graph_, sender, receiver,
                config_.paths_per_receiver + config_.spare_paths, scratch,

@@ -460,14 +460,95 @@ TEST(DijkstraEquivalence, BannedNodes) {
   }
 }
 
-TEST(DijkstraEquivalence, DistancesAllTargets) {
-  const Graph& g = medium_graph();
-  const EdgeWeight w = fee_like_weight();
-  const auto got = dijkstra_distances(g, 7, w);
+TEST(DijkstraEquivalence, HopWeightsMatchFullLoop) {
+  // UnitWeight and MaskedUnitWeight run dijkstra_core's hop-count loop,
+  // which stops at t's first label. It must agree with the full loop (the
+  // same costs as a std::function behind LegacyCallable, which is no hop
+  // weight) and with ref_dijkstra under node and edge bans and cutoffs
+  // below, at and above dist(t), on a finalized graph and on a copy
+  // without CSR.
+  const Graph& finalized = medium_graph();
+  Graph copy = finalized;
+  copy.add_node();  // isolated; drops the CSR (out_edges()/to() loop)
+  const Graph& unfinalized = copy;
+  ASSERT_FALSE(unfinalized.finalized());
+  Rng rng(33);
+  std::vector<unsigned char> open(finalized.num_edges());
+  for (auto& o : open) o = rng.chance(0.1) ? 0 : 1;
+  const MaskedUnitWeight masked{open.data()};
+  const EdgeWeight unit_fn = [](EdgeId) { return 1.0; };
+  const EdgeWeight masked_fn = [&](EdgeId e) {
+    return open[e] ? 1.0 : kEdgeBanned;
+  };
   const double inf = std::numeric_limits<double>::infinity();
-  for (NodeId t = 0; t < g.num_nodes(); ++t) {
-    const DijkstraResult single = ref_dijkstra(g, 7, t, w);
-    EXPECT_EQ(got[t], single.found || t == 7 ? single.distance : inf);
+  GraphScratch scratch;
+  int found_under_bans = 0;
+  for (const Graph* g : {&finalized, &unfinalized}) {
+    for (int i = 0; i < 60; ++i) {
+      const auto [s, t] = random_pair(rng, finalized);
+      if (s == t) continue;
+      const bool use_bans = i % 2 == 1;
+      std::vector<char> node_ban(g->num_nodes(), 0);
+      std::vector<char> edge_ban(g->num_edges(), 0);
+      scratch.node_ban.reset(g->num_nodes());
+      scratch.edge_ban.reset(g->num_edges());
+      for (NodeId v = 0; use_bans && v < g->num_nodes(); ++v) {
+        if (!rng.chance(0.05)) continue;
+        node_ban[v] = 1;
+        scratch.node_ban.set(v, 1);
+      }
+      for (EdgeId e = 0; use_bans && e < g->num_edges(); ++e) {
+        if (!rng.chance(0.05)) continue;
+        edge_ban[e] = 1;
+        scratch.edge_ban.set(e, 1);
+      }
+      auto check = [&](auto hop_weight, const EdgeWeight& same_fn) {
+        const EdgeWeight ref_fn = [&](EdgeId e) {
+          return edge_ban[e] ? kEdgeBanned : same_fn(e);
+        };
+        const DijkstraResult want = ref_dijkstra(*g, s, t, ref_fn, node_ban);
+        if (want.found && use_bans) ++found_under_bans;
+        const double d = want.distance;
+        const std::vector<double> cutoffs =
+            want.found ? std::vector<double>{d - 1, d, d + 1, inf}
+                       : std::vector<double>{3.0, inf};
+        for (const double cutoff : cutoffs) {
+          Path got_path, full_path;
+          const DijkstraCoreResult got = dijkstra_core(
+              *g, s, t, scratch, hop_weight, use_bans, got_path, cutoff);
+          const DijkstraCoreResult full = dijkstra_core(
+              *g, s, t, scratch, LegacyCallable<EdgeWeight>{&same_fn},
+              use_bans, full_path, cutoff);
+          const bool want_found = want.found && d <= cutoff;
+          ASSERT_EQ(got.found, want_found)
+              << "s=" << s << " t=" << t << " cutoff=" << cutoff;
+          ASSERT_EQ(full.found, want_found);
+          EXPECT_EQ(got.distance, full.distance);
+          EXPECT_EQ(got_path, full_path);
+          if (want_found) {
+            EXPECT_EQ(got.distance, d);
+            EXPECT_EQ(got_path, want.path);
+          }
+        }
+      };
+      check(UnitWeight{}, unit_fn);
+      check(masked, masked_fn);
+    }
+  }
+  EXPECT_GT(found_under_bans, 0);
+}
+
+TEST(DijkstraEquivalence, DistancesAllTargets) {
+  // Unit weight too: all-targets mode never stops early, even under a hop
+  // weight, so every reachable node is settled.
+  const Graph& g = medium_graph();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const EdgeWeight& w : {EdgeWeight{}, fee_like_weight()}) {
+    const auto got = dijkstra_distances(g, 7, w);
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      const DijkstraResult single = ref_dijkstra(g, 7, t, w);
+      EXPECT_EQ(got[t], single.found || t == 7 ? single.distance : inf);
+    }
   }
 }
 
@@ -563,11 +644,24 @@ TEST(YenEquivalence, MediumTopologyFeeWeights) {
 
 TEST(YenEquivalence, RippleScaleTopology) {
   const Graph& g = ripple_graph();  // fig06/fig07 scale
+  // Plus the stale-view routers' search: MaskedUnitWeight over a ~5% closed
+  // mask, against the reference with the same mask as a std::function.
+  Rng mask_rng(55);
+  std::vector<unsigned char> open(g.num_edges());
+  for (auto& o : open) o = mask_rng.chance(0.05) ? 0 : 1;
+  const MaskedUnitWeight masked{open.data()};
+  const EdgeWeight masked_fn = [&](EdgeId e) {
+    return open[e] ? 1.0 : kEdgeBanned;
+  };
+  GraphScratch scratch;
+  std::vector<Path> masked_out;
   Rng rng(53);
   for (int i = 0; i < 8; ++i) {
     const auto [s, t] = random_pair(rng, g);
     if (s == t) continue;
     expect_same_paths(yen_k_shortest_paths(g, s, t, 8), ref_yen(g, s, t, 8));
+    yen_core(g, s, t, 8, scratch, masked, masked_out);
+    expect_same_paths(masked_out, ref_yen(g, s, t, 8, masked_fn));
   }
 }
 
