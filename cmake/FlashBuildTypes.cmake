@@ -27,6 +27,14 @@ endif()
 # Release-with-assertions: optimized but without NDEBUG.
 set(CMAKE_CXX_FLAGS_RELWITHASSERT "-O2 -g"
     CACHE STRING "C++ flags for RelWithAssert builds")
+# An explicit -DCMAKE_BUILD_TYPE=RelWithAssert on a fresh configure makes
+# project() create this cache entry empty before this file runs, and the
+# set() above never overwrites a cache entry: the build would be
+# unoptimized.
+if(CMAKE_CXX_FLAGS_RELWITHASSERT STREQUAL "")
+  set(CMAKE_CXX_FLAGS_RELWITHASSERT "-O2 -g"
+      CACHE STRING "C++ flags for RelWithAssert builds" FORCE)
+endif()
 set(CMAKE_EXE_LINKER_FLAGS_RELWITHASSERT ""
     CACHE STRING "Linker flags for RelWithAssert builds")
 set(CMAKE_SHARED_LINKER_FLAGS_RELWITHASSERT ""

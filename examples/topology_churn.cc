@@ -58,16 +58,18 @@ int main() {
       {"churn, delayed gossip", churn_delayed},
   };
 
-  std::printf("%-24s %8s %8s %8s %8s %10s %9s\n", "scenario", "success",
-              "retries", "rescued", "stale", "closes/re", "rebuilds");
+  std::printf("%-24s %8s %8s %8s %8s %10s %9s %8s\n", "scenario", "success",
+              "retries", "rescued", "stale", "closes/re", "rebuilds",
+              "patches");
   ScenarioResult delayed;  // kept for the detail lines below
   for (const RowSpec& row : rows) {
     const ScenarioResult r =
         run_scenario(workload, Scheme::kFlash, {}, sim, row.cfg, /*seed=*/7);
-    std::printf("%-24s %7.1f%% %8zu %8zu %8zu %6zu/%-4zu %9zu\n", row.name,
-                100.0 * r.sim.success_ratio(), r.sim.retries,
+    std::printf("%-24s %7.1f%% %8zu %8zu %8zu %6zu/%-4zu %9zu %8zu\n",
+                row.name, 100.0 * r.sim.success_ratio(), r.sim.retries,
                 r.sim.retry_successes, r.sim.stale_view_failures,
-                r.channels_closed, r.channels_reopened, r.router_rebuilds);
+                r.channels_closed, r.channels_reopened, r.router_rebuilds,
+                r.router_patches);
     if (&row == &rows[2]) delayed = r;
   }
 

@@ -35,11 +35,17 @@ RouteResult FlashRouter::route(const Transaction& tx, NetworkState& state) {
 }
 
 bool FlashRouter::start_prefetch(std::size_t helpers) {
-  // Helpers compute unmasked paths. And if even amount 0 routes as an
-  // elephant, so does every positive amount: no mouse ever reaches the
-  // table.
-  if (open_mask_ || routes_as_elephant(0)) return false;
+  // If even amount 0 routes as an elephant, so does every positive amount:
+  // no mouse ever reaches the table.
+  if (routes_as_elephant(0)) return false;
   return table_.start_prefetch(helpers);
+}
+
+bool FlashRouter::borrow_prefetch(Router& lender) {
+  auto* flash = dynamic_cast<FlashRouter*>(&lender);
+  if (!flash || flash == this || !flash->table_.prefetcher()) return false;
+  table_.borrow_prefetch(*flash->table_.prefetcher());
+  return true;
 }
 
 void FlashRouter::prefetch(const Transaction& tx) {

@@ -87,10 +87,14 @@ class FlashRouter : public Router {
                                    std::span<const EdgeId> reopened,
                                    bool strict) override;
   /// Yen prefetch for the mice table: helpers compute the paths of hinted
-  /// mice whose pair the table lacks (see MiceRoutingTable::start_prefetch).
-  /// Refused while an open mask is installed or when every payment routes
-  /// as an elephant.
+  /// mice whose pair the table lacks, under the open mask installed at the
+  /// hint (see MiceRoutingTable::start_prefetch). Refused when every
+  /// payment routes as an elephant.
   bool start_prefetch(std::size_t helpers) override;
+  /// Borrows the prefetcher of `lender`, a prefetching FlashRouter over
+  /// the same graph with the same mice path counts (see
+  /// MiceRoutingTable::borrow_prefetch).
+  bool borrow_prefetch(Router& lender) override;
   void prefetch(const Transaction& tx) override;
   void stop_prefetch() override { table_.stop_prefetch(); }
 

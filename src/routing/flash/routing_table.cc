@@ -1,148 +1,180 @@
 #include "routing/flash/routing_table.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
+#include <stdexcept>
 
 #include "graph/yen.h"
-#include "util/thread_pool.h"
 
 namespace flash {
 
 // Entries are keyed by pair_key(sender, receiver) from graph/types.h (the
 // shared checked NodeId-packing helper).
 
-// The prefetch helpers and their requests, keyed like entries_. Every field
-// below `mutex` is guarded by it. Each request is one task on the helper
-// pool (FIFO, so helpers work in hint order); a task runs Yen outside the
-// lock, in its helper thread's own GraphScratch and into its own buffer,
-// so helpers share nothing with the table's thread besides this struct
-// and the immutable graph.
-struct MiceRoutingTable::Prefetcher {
-  enum class State : std::uint8_t { kQueued, kRunning, kDone };
-  struct Request {
-    NodeId sender = 0;
-    NodeId receiver = 0;
-    State state = State::kQueued;
-    std::vector<Path> paths;   // raw Yen output, once kDone
-    std::exception_ptr error;  // the helper's Yen threw
-  };
+namespace {
 
-  Prefetcher(const Graph& g, std::size_t paths, std::size_t helpers)
-      : graph(&g), k(paths), pool(helpers) {}
-  // Pool tasks hold `this`. The pool is the last member, so it is
-  // destroyed first: it runs every task still queued (a no-op for a
-  // dropped request) and joins before the state they touch goes away.
-  Prefetcher(const Prefetcher&) = delete;
-  Prefetcher& operator=(const Prefetcher&) = delete;
+void add_stats(PrefetchStats& into, const PrefetchStats& from) {
+  into.requested += from.requested;
+  into.started += from.started;
+  into.completed += from.completed;
+  into.took_finished += from.took_finished;
+  into.waited_running += from.waited_running;
+  into.computed_inline += from.computed_inline;
+  into.discarded += from.discarded;
+}
 
-  /// Queues a request unless the pair already has one; true if queued.
-  bool request(std::uint64_t key, NodeId sender, NodeId receiver) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      const auto [it, fresh] = requests.try_emplace(key);
-      if (!fresh) return false;
-      it->second.sender = sender;
-      it->second.receiver = receiver;
-    }
-    pool.submit([this, key] { run(key); });
-    return true;
+}  // namespace
+
+// Requests are keyed like the table's entries. Each is one task on the
+// helper pool (FIFO, so helpers work in hint order); a task runs Yen
+// outside the lock, in its helper thread's own GraphScratch and into its
+// own buffer, reading only the immutable graph and its request's mask. No
+// one erases or rewrites a running request: take() and discard_all() wait
+// for it, drop() and a mismatched take() only flag it, and request()
+// leaves it alone.
+
+YenPrefetcher::YenPrefetcher(const Graph& graph, std::size_t k,
+                             std::size_t helpers)
+    : graph_(&graph), k_(k), pool_(helpers) {}
+
+YenPrefetcher::~YenPrefetcher() { discard_all(); }
+
+bool YenPrefetcher::same_mask(const Request& r,
+                              const unsigned char* mask) const {
+  if (!mask) return r.mask.empty();
+  return !r.mask.empty() &&
+         std::equal(r.mask.begin(), r.mask.end(), mask);
+}
+
+void YenPrefetcher::set_mask(Request& r, const unsigned char* mask) const {
+  if (mask) {
+    r.mask.assign(mask, mask + graph_->num_edges());
+  } else {
+    r.mask.clear();
   }
+}
 
-  /// Helper task: computes the request for `key` if one is still queued
-  /// (it may have been taken inline or dropped since).
-  void run(std::uint64_t key) {
-    std::unique_lock<std::mutex> lock(mutex);
-    auto it = requests.find(key);
-    if (it == requests.end() || it->second.state != State::kQueued) return;
-    it->second.state = State::kRunning;
-    ++running;
-    ++started;
-    const NodeId from = it->second.sender;
-    const NodeId to = it->second.receiver;
-    lock.unlock();
-    thread_local GraphScratch scratch;  // one per helper thread
-    std::vector<Path> paths;
-    std::exception_ptr error;
-    try {
-      yen_core(*graph, from, to, k, scratch, UnitWeight{}, paths);
-    } catch (...) {
-      error = std::current_exception();
+bool YenPrefetcher::request(NodeId sender, NodeId receiver,
+                            const unsigned char* mask) {
+  const auto key = pair_key(sender, receiver);
+  bool submit = true;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto [it, fresh] = requests_.try_emplace(key);
+    Request& r = it->second;
+    if (!fresh) {
+      if (r.state == State::kRunning || same_mask(r, mask)) return false;
+      // Queued or finished under another mask: re-queue under this one. A
+      // queued request's pool task is still pending and will run it.
+      ++stats_.discarded;
+      submit = r.state == State::kDone;
+      r.state = State::kQueued;
+      r.paths.clear();
+      r.error = nullptr;
     }
-    lock.lock();
-    // Still present: the owner waits for running requests (take(),
-    // discard_all()) and never erases one.
-    Request& r = requests.at(key);
+    r.sender = sender;
+    r.receiver = receiver;
+    set_mask(r, mask);
+    ++stats_.requested;
+  }
+  if (submit) pool_.submit([this, key] { run(key); });
+  return true;
+}
+
+void YenPrefetcher::run(std::uint64_t key) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto it = requests_.find(key);
+  if (it == requests_.end() || it->second.state != State::kQueued) return;
+  Request& r = it->second;  // stable: unordered_map nodes never move
+  r.state = State::kRunning;
+  ++running_;
+  ++stats_.started;
+  lock.unlock();
+  thread_local GraphScratch scratch;  // one per helper thread
+  std::vector<Path> paths;
+  std::exception_ptr error;
+  try {
+    if (r.mask.empty()) {
+      yen_core(*graph_, r.sender, r.receiver, k_, scratch, UnitWeight{},
+               paths);
+    } else {
+      yen_core(*graph_, r.sender, r.receiver, k_, scratch,
+               MaskedUnitWeight{r.mask.data()}, paths);
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  lock.lock();
+  --running_;
+  ++stats_.completed;
+  if (r.dropped) {
+    requests_.erase(key);
+  } else {
     r.paths = std::move(paths);
     r.error = error;
     r.state = State::kDone;
-    --running;
-    ++completed;
-    finished.notify_all();
   }
+  finished_.notify_all();
+}
 
-  /// Serves a lookup miss of `key`, counting how in `stats`: true when a
-  /// finished result (or a running one, once it finishes) was moved into
-  /// `out`; a queued request is dropped so the caller computes it inline.
-  bool take(std::uint64_t key, std::vector<Path>& out, PrefetchStats& stats) {
-    std::unique_lock<std::mutex> lock(mutex);
-    auto it = requests.find(key);
-    if (it == requests.end()) return false;
-    if (it->second.state == State::kQueued) {
-      requests.erase(it);
-      ++stats.computed_inline;
-      return false;
-    }
-    if (it->second.state == State::kRunning) {
-      ++stats.waited_running;
-      finished.wait(lock, [&] {
-        return requests.at(key).state == State::kDone;
-      });
-      it = requests.find(key);
+bool YenPrefetcher::take(NodeId sender, NodeId receiver,
+                         const unsigned char* mask, std::vector<Path>& out) {
+  const auto key = pair_key(sender, receiver);
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto it = requests_.find(key);
+  if (it == requests_.end() || it->second.dropped) return false;
+  Request& r = it->second;
+  if (r.state == State::kQueued || !same_mask(r, mask)) {
+    ++stats_.computed_inline;
+    if (r.state == State::kRunning) {
+      r.dropped = true;
     } else {
-      ++stats.took_finished;
+      requests_.erase(it);
     }
-    const std::exception_ptr error = it->second.error;
-    out.swap(it->second.paths);
-    requests.erase(it);
-    if (error) std::rethrow_exception(error);
-    return true;
+    return false;
   }
-
-  /// Drops every request: queued and finished ones at once, running ones
-  /// once they finish (no new one starts meanwhile: nothing is queued).
-  /// Returns the number dropped.
-  std::size_t discard_all() {
-    std::unique_lock<std::mutex> lock(mutex);
-    std::size_t dropped = std::erase_if(requests, [](const auto& kv) {
-      return kv.second.state != State::kRunning;
-    });
-    finished.wait(lock, [this] { return running == 0; });
-    dropped += requests.size();
-    requests.clear();
-    return dropped;
+  if (r.state == State::kRunning) {
+    ++stats_.waited_running;
+    // `r` stays valid: only the caller's own later calls can drop it.
+    finished_.wait(lock, [&r] { return r.state == State::kDone; });
+  } else {
+    ++stats_.took_finished;
   }
+  const std::exception_ptr error = r.error;
+  out.swap(r.paths);
+  requests_.erase(key);
+  if (error) std::rethrow_exception(error);
+  return true;
+}
 
-  /// Adds the helper-side counters to `stats`.
-  void add_helper_stats(PrefetchStats& stats) {
-    std::lock_guard<std::mutex> lock(mutex);
-    stats.started += started;
-    stats.completed += completed;
+void YenPrefetcher::drop(NodeId sender, NodeId receiver) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = requests_.find(pair_key(sender, receiver));
+  if (it == requests_.end() || it->second.dropped) return;
+  ++stats_.discarded;
+  if (it->second.state == State::kRunning) {
+    it->second.dropped = true;
+  } else {
+    requests_.erase(it);
   }
+}
 
-  const Graph* graph;
-  std::size_t k;
+void YenPrefetcher::discard_all() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (auto& [key, r] : requests_) {
+    if (!r.dropped) ++stats_.discarded;
+    r.dropped = true;
+  }
+  std::erase_if(requests_, [](const auto& kv) {
+    return kv.second.state != State::kRunning;
+  });
+  // Running helpers erase their own (now dropped) requests.
+  finished_.wait(lock, [this] { return running_ == 0; });
+}
 
-  std::mutex mutex;
-  std::condition_variable finished;  // a running request finished
-  std::unordered_map<std::uint64_t, Request> requests;
-  std::size_t running = 0;
-  std::uint64_t started = 0;
-  std::uint64_t completed = 0;
-
-  ThreadPool pool;  // last: see the constructor
-};
+PrefetchStats YenPrefetcher::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
+}
 
 MiceRoutingTable::MiceRoutingTable(const Graph& graph,
                                    RoutingTableConfig config)
@@ -151,38 +183,43 @@ MiceRoutingTable::MiceRoutingTable(const Graph& graph,
 MiceRoutingTable::~MiceRoutingTable() { stop_prefetch(); }
 
 bool MiceRoutingTable::start_prefetch(std::size_t helpers) {
-  if (helpers == 0 || open_mask_) return false;
-  if (!prefetch_) {
-    prefetch_ = std::make_unique<Prefetcher>(
-        *graph_, config_.paths_per_receiver + config_.spare_paths, helpers);
+  if (helpers == 0) return false;
+  if (!owned_prefetch_) {
+    stop_prefetch();  // let go of a borrowed one
+    owned_prefetch_ =
+        std::make_unique<YenPrefetcher>(*graph_, yen_k(), helpers);
+    prefetch_ = owned_prefetch_.get();
   }
   return true;
 }
 
+void MiceRoutingTable::borrow_prefetch(YenPrefetcher& prefetcher) {
+  if (&prefetcher.graph() != graph_ || prefetcher.k() != yen_k()) {
+    throw std::invalid_argument(
+        "MiceRoutingTable: a borrowed prefetcher must run Yen over this "
+        "table's graph for this table's paths_per_receiver + spare_paths");
+  }
+  stop_prefetch();
+  prefetch_ = &prefetcher;
+}
+
 void MiceRoutingTable::prefetch(NodeId sender, NodeId receiver) {
-  if (!prefetch_ || open_mask_) return;
-  const auto key = pair_key(sender, receiver);
-  if (entries_.contains(key)) return;
-  if (prefetch_->request(key, sender, receiver)) ++prefetch_stats_.requested;
+  if (!prefetch_ || entries_.contains(pair_key(sender, receiver))) return;
+  prefetch_->request(sender, receiver, open_mask_);
 }
 
 void MiceRoutingTable::stop_prefetch() {
-  if (!prefetch_) return;
-  prefetch_stats_.discarded += prefetch_->discard_all();
-  prefetch_->add_helper_stats(prefetch_stats_);
-  prefetch_.reset();
+  prefetch_ = nullptr;
+  if (!owned_prefetch_) return;
+  owned_prefetch_->discard_all();
+  add_stats(prefetch_stats_, owned_prefetch_->stats());
+  owned_prefetch_.reset();
 }
 
 PrefetchStats MiceRoutingTable::prefetch_stats() const {
   PrefetchStats stats = prefetch_stats_;
-  if (prefetch_) prefetch_->add_helper_stats(stats);
+  if (prefetch_) add_stats(stats, prefetch_->stats());
   return stats;
-}
-
-bool MiceRoutingTable::take_prefetched(std::uint64_t key,
-                                       std::vector<Path>& paths) {
-  return prefetch_ && !open_mask_ &&
-         prefetch_->take(key, paths, prefetch_stats_);
 }
 
 const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
@@ -205,8 +242,8 @@ const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
   if (it == entries_.end()) {
     Entry entry;
     auto& paths = scratch.path_list_buf;
-    if (take_prefetched(key, paths)) {
-      // A helper ran exactly the Yen below (unmasked branch) for this pair.
+    if (prefetch_ && prefetch_->take(sender, receiver, open_mask_, paths)) {
+      // A helper ran exactly the Yen below, under a byte-equal mask.
     } else if (open_mask_) {
       // Masked topology: closed edges cost kEdgeBanned, which dijkstra_core
       // skips before pushing — the search behaves exactly as if the edge
@@ -238,8 +275,12 @@ const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
       undo_log_.push_back({UndoRecord::Kind::kInserted, key, 0, 0, 0, {}});
     }
     if (computed) *computed = true;
-  } else if (computed) {
-    *computed = false;
+  } else {
+    // An owner requests only pairs it lacks and consumes each request at
+    // the pair's first miss, so only a borrower, hinted through a lender
+    // that cannot see this table's entries, can hit a requested pair.
+    if (prefetch_ && !owned_prefetch_) prefetch_->drop(sender, receiver);
+    if (computed) *computed = false;
   }
   it->second.last_used = clock_;
   return it->second.active;
@@ -340,7 +381,7 @@ void MiceRoutingTable::undo_release(std::uint64_t mark) {
 
 void MiceRoutingTable::clear() {
   entries_.clear();
-  if (prefetch_) prefetch_stats_.discarded += prefetch_->discard_all();
+  if (owned_prefetch_) owned_prefetch_->discard_all();
 }
 
 std::size_t MiceRoutingTable::invalidate_closed_paths() {

@@ -7,15 +7,19 @@
 // shortest path. The table is rebuilt when the gossiped topology changes.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/scratch.h"
 #include "graph/types.h"
+#include "util/thread_pool.h"
 
 namespace flash {
 
@@ -42,21 +46,102 @@ struct RoutingTableConfig {
   std::size_t max_hops = 0;
 };
 
-/// Where Yen work went while a table was prefetching (see
-/// MiceRoutingTable::start_prefetch). Plain value type.
+/// Where a YenPrefetcher's work went. Plain value type. Every request ends
+/// in exactly one of took_finished, waited_running, computed_inline and
+/// discarded, or is still outstanding.
 struct PrefetchStats {
-  /// Yen requests queued by prefetch().
+  /// Requests queued by request() (a re-queue under a new mask counts).
   std::uint64_t requested = 0;
   /// Requests a helper picked up, and how many of those it finished.
   std::uint64_t started = 0;
   std::uint64_t completed = 0;
   /// How lookup misses with a request were served: a finished result, a
-  /// running one waited for, or a still-queued one computed inline.
+  /// running one waited for, or inline (the request was still queued, or
+  /// was computed under another mask).
   std::uint64_t took_finished = 0;
   std::uint64_t waited_running = 0;
   std::uint64_t computed_inline = 0;
-  /// Requests dropped unconsumed by clear() or stop_prefetch().
+  /// Requests dropped unconsumed: by drop(), by a re-queue under another
+  /// mask, by discard_all().
   std::uint64_t discarded = 0;
+};
+
+/// Yen on helper threads, ahead of the routing-table lookups that need it.
+///
+/// A miss's Yen is a pure function of the graph, the open mask, the pair
+/// and k: never of the ledger, nor of which pairs were looked up before.
+/// So helpers may compute upcoming pairs' paths early, and a lookup may
+/// adopt a result exactly when it was computed under a byte-equal mask (or
+/// both are unmasked). Several MiceRoutingTables over one graph may borrow
+/// one prefetcher; each request is keyed by its (sender, receiver) pair and
+/// carries a copy of the mask it is computed under.
+///
+/// Not for concurrent callers: the tables that borrow one prefetcher share
+/// one thread, and the helpers are internal (stats() alone may be called
+/// from anywhere). The Graph is borrowed and must outlive the prefetcher;
+/// the destructor drops every request and joins the helpers.
+class YenPrefetcher {
+ public:
+  /// `helpers` threads, each with its own GraphScratch, run Yen for `k`
+  /// paths over `graph`.
+  YenPrefetcher(const Graph& graph, std::size_t k, std::size_t helpers);
+  ~YenPrefetcher();
+  YenPrefetcher(const YenPrefetcher&) = delete;
+  YenPrefetcher& operator=(const YenPrefetcher&) = delete;
+
+  const Graph& graph() const noexcept { return *graph_; }
+  std::size_t k() const noexcept { return k_; }
+
+  /// Queues Yen for (sender, receiver) under `mask` (one flag per directed
+  /// edge of graph(), copied; null = unmasked). A pair holds at most one
+  /// request: one under the same mask stays as it is, one under another
+  /// mask is re-queued under `mask` unless a helper is running it (the
+  /// helper reads the mask outside the lock). True if a request was queued.
+  bool request(NodeId sender, NodeId receiver, const unsigned char* mask);
+  /// Serves a lookup miss of (sender, receiver) under `mask`: true when
+  /// `out` holds the Yen result of a request computed under a byte-equal
+  /// mask, finished or (once it finishes) running. Otherwise the request,
+  /// if any, is dropped, and the caller computes inline.
+  bool take(NodeId sender, NodeId receiver, const unsigned char* mask,
+            std::vector<Path>& out);
+  /// Drops the pair's request, if any (a running one once it finishes).
+  void drop(NodeId sender, NodeId receiver);
+  /// Drops every request: queued and finished ones at once, running ones
+  /// once they finish.
+  void discard_all();
+  /// Totals since construction.
+  PrefetchStats stats() const;
+
+ private:
+  enum class State : std::uint8_t { kQueued, kRunning, kDone };
+  struct Request {
+    NodeId sender = 0;
+    NodeId receiver = 0;
+    std::vector<unsigned char> mask;  // empty = unmasked
+    State state = State::kQueued;
+    bool dropped = false;      // erase once the running helper finishes
+    std::vector<Path> paths;   // raw Yen output, once kDone
+    std::exception_ptr error;  // the helper's Yen threw
+  };
+
+  /// Helper task: computes the request for `key` if one is still queued.
+  void run(std::uint64_t key);
+  bool same_mask(const Request& r, const unsigned char* mask) const;
+  void set_mask(Request& r, const unsigned char* mask) const;
+
+  const Graph* graph_;
+  std::size_t k_;
+
+  mutable std::mutex mutex_;
+  std::condition_variable finished_;  // a running request finished
+  // Guarded by mutex_.
+  std::unordered_map<std::uint64_t, Request> requests_;
+  std::size_t running_ = 0;
+  PrefetchStats stats_;
+
+  // Last: destroyed first, so the destructor joins every helper (tasks
+  // hold `this`) before the state they touch goes away.
+  ThreadPool pool_;
 };
 
 /// NOT thread-safe: lookup() mutates the entry cache and the eviction
@@ -90,38 +175,49 @@ class MiceRoutingTable {
   bool replace_dead_path(NodeId sender, NodeId receiver, const Path& path);
 
   /// Recomputes nothing eagerly; drops everything so the next lookups
-  /// recompute on the fresh topology (periodic refresh, §3.3). Outstanding
-  /// prefetch requests are dropped too (waiting for running ones).
+  /// recompute on the fresh topology (periodic refresh, §3.3). An owned
+  /// prefetcher drops its outstanding requests too (waiting for running
+  /// ones); a borrowed one keeps them, each exact for its own mask.
   void clear();
 
   // --- Yen prefetch (sequential scenario engine) ---------------------------
   //
-  // A miss's Yen depends only on the graph, the pair and k, never on the
-  // ledger or on which pairs were looked up before. So while the graph is
-  // unmasked, helper threads may compute upcoming pairs' paths ahead of
-  // their lookup: lookup() then takes the finished result, waits for a
-  // running one, or computes a still-queued one inline, and filters,
-  // inserts, journals and counts it exactly as if it had run Yen itself.
-  // Entries, spares and computations() are identical with or without it.
+  // A table either owns a YenPrefetcher (start_prefetch) or borrows one
+  // (borrow_prefetch). prefetch() requests a pair under the mask installed
+  // at that call. A lookup miss takes the pair's request if it was computed
+  // under a mask byte-equal to the one installed at the miss (finished, or
+  // running and waited for), computes inline otherwise, and filters,
+  // inserts, journals and counts the paths exactly as if it had run Yen
+  // itself. Entries, spares and computations() are identical with or
+  // without prefetch. A borrower's lookup hit drops the pair's unconsumed
+  // request (the lender that took the hint cannot see this table).
 
-  /// Starts `helpers` helper threads, each with its own GraphScratch.
-  /// Returns false (and does nothing) for 0 helpers or with an open mask
-  /// installed; true if prefetch is running (already running: unchanged).
+  /// Starts owning a prefetcher with `helpers` threads over this table's
+  /// graph and k. Returns false (and does nothing) for 0 helpers; true if
+  /// prefetch is running (already running: unchanged).
   bool start_prefetch(std::size_t helpers);
-  /// Queues a Yen request for (sender, receiver) unless the pair is cached
-  /// or already requested. No-op unless prefetch is running and unmasked.
+  /// Serves misses from `prefetcher` (stopping an owned one first).
+  /// Borrowed: it must outlive every later lookup, prefetch and clear.
+  /// Throws std::invalid_argument unless it searches this table's graph
+  /// for this table's k paths.
+  void borrow_prefetch(YenPrefetcher& prefetcher);
+  /// Requests (sender, receiver) under the installed mask unless the pair
+  /// is cached. No-op unless prefetching.
   void prefetch(NodeId sender, NodeId receiver);
-  /// Cancels queued requests, lets running ones finish, joins the helpers
-  /// and drops every unconsumed result. Idempotent.
+  /// Ends prefetching: an owned prefetcher drops its requests and joins
+  /// its helpers, a borrowed one is let go untouched. Idempotent.
   void stop_prefetch();
-  /// Totals since construction, over every start_prefetch/stop_prefetch.
+  /// The prefetcher in use, owned or borrowed; null when not prefetching.
+  YenPrefetcher* prefetcher() const noexcept { return prefetch_; }
+  /// Totals of every prefetcher this table has owned, plus the one in use.
+  /// A borrowed prefetcher's totals cover every table that borrows it.
   PrefetchStats prefetch_stats() const;
 
   /// Installs (or clears) the open-edge mask: when set, lookup's Yen runs
   /// with closed edges weighted out (kEdgeBanned), so computed paths only
-  /// use open channels. Borrowed; caller keeps it alive and current.
-  /// Prefetched results are computed unmasked, so lookups ignore them (and
-  /// prefetch() queues nothing) while a mask is installed.
+  /// use open channels. Borrowed; caller keeps it alive and current. The
+  /// caller may rewrite the mask between calls: prefetch() copies it into
+  /// the request, and a miss adopts a request only under a byte-equal mask.
   void set_open_mask(const unsigned char* mask) noexcept { open_mask_ = mask; }
 
   /// Drops every entry holding a cached path (active or unconsumed spare)
@@ -190,18 +286,16 @@ class MiceRoutingTable {
   std::vector<UndoRecord> undo_log_;
   std::uint64_t undo_base_ = 0;  // marks count released prefix records
   bool undo_armed_ = false;
-  // Helper threads and their request map (defined in routing_table.cc);
-  // null while not prefetching. A stopped prefetcher's stats fold into
-  // prefetch_stats_.
-  struct Prefetcher;
-  std::unique_ptr<Prefetcher> prefetch_;
+  // The prefetcher in use: owned_prefetch_ or a borrowed one. A stopped
+  // owned prefetcher's totals fold into prefetch_stats_.
+  std::unique_ptr<YenPrefetcher> owned_prefetch_;
+  YenPrefetcher* prefetch_ = nullptr;
   PrefetchStats prefetch_stats_;
 
+  std::size_t yen_k() const noexcept {
+    return config_.paths_per_receiver + config_.spare_paths;
+  }
   void evict_stale();
-  /// Serves a lookup miss from a prefetch request if one exists: true when
-  /// `paths` now holds its Yen result (false: no request, or a queued one
-  /// the caller must compute inline).
-  bool take_prefetched(std::uint64_t key, std::vector<Path>& paths);
 };
 
 }  // namespace flash

@@ -93,12 +93,20 @@ class Router {
   // The engine can show a router the payments it will route next. A router
   // may precompute topology-only state for them on background threads, as
   // long as every route() result stays bit-identical to running without
-  // the hints. Routers with nothing to precompute override nothing, and
-  // the engine then reads no arrivals ahead.
+  // the hints. Routers over one graph may share one set of helpers: one
+  // starts them, the others borrow them, and the engine hints the lender.
+  // Routers with nothing to precompute override nothing, and the engine
+  // then reads no arrivals ahead.
 
   /// Starts precomputing hinted payments on `helpers` background threads.
   /// Returns whether prefetch is running (default: never).
   virtual bool start_prefetch(std::size_t /*helpers*/) { return false; }
+  /// Shares the helpers of `lender`, a prefetching router of the same kind
+  /// over the same graph, instead of starting its own: this router's
+  /// route() then adopts what `lender` precomputed for its prefetch()
+  /// hints. `lender` must keep prefetching while this router routes.
+  /// Returns whether the borrow took (default: never).
+  virtual bool borrow_prefetch(Router& /*lender*/) { return false; }
   /// Hint: `tx` will be routed soon (in hint order). No-op by default.
   virtual void prefetch(const Transaction& /*tx*/) {}
   /// Cancels pending precomputation and joins the helper threads; no

@@ -328,40 +328,6 @@ ScenarioEngine::ScenarioEngine(const Workload& workload, Scheme scheme,
                  base_router_->supports_incremental_maintenance() &&
                  closes_possible_;
 
-  if (incremental_) {
-    // The shared full-shape view graph: every sender's gossip view is a
-    // subset of the truth channel set (bootstrap seeds everything open and
-    // gossip only flips open state), so ONE immutable graph holding every
-    // channel in sorted-pair order serves all senders; closed channels are
-    // masked per sender. Edge ids here are an order-preserving renaming of
-    // any compacted per-view graph's ids, which is what makes masked
-    // search results identical to the oracle's (see ARCHITECTURE.md).
-    view_graph_ = Graph(g.num_nodes());
-    view_graph_.reserve_channels(sorted_channels_.size());
-    view_to_physical_.reserve(2 * sorted_channels_.size());
-    for (std::size_t i = 0; i < sorted_channels_.size(); ++i) {
-      const EdgeId pf = g.channel_forward_edge(sorted_channels_[i]);
-      const auto [u, v] = sorted_pairs_[i];
-      view_graph_.add_channel(u, v);
-      if (g.from(pf) == u) {
-        view_to_physical_.push_back(pf);
-        view_to_physical_.push_back(g.reverse(pf));
-      } else {
-        view_to_physical_.push_back(g.reverse(pf));
-        view_to_physical_.push_back(pf);
-      }
-    }
-    view_graph_.finalize();
-    view_fees_ = FeeSchedule(view_graph_);
-    view_phys_to_local_.assign(g.num_edges(), 0);
-    for (std::size_t le = 0; le < view_to_physical_.size(); ++le) {
-      view_fees_.set_policy(static_cast<EdgeId>(le),
-                            workload.fees().policy(view_to_physical_[le]));
-      view_phys_to_local_[view_to_physical_[le]] =
-          static_cast<std::uint32_t>(le) + 1;
-    }
-  }
-
   if (closes_possible_) {
     // Views start fully converged (the network existed long before t = 0);
     // seeding without flooding keeps bootstrap out of the message counts.
@@ -542,29 +508,60 @@ void ScenarioEngine::release_read_ahead() {
 
 void ScenarioEngine::start_prefetch() {
   const std::size_t helpers = ThreadPool::hardware_threads() - 1;
-  prefetching_ = helpers > 0 && stream_->size() > 0 &&
-                 base_router_->start_prefetch(helpers);
+  if (helpers > 0 && stream_->size() > 0 &&
+      base_router_->start_prefetch(helpers)) {
+    prefetch_router_ = base_router_.get();
+  }
 }
 
 void ScenarioEngine::prefetch_ahead() {
-  const std::size_t end =
-      std::min(stream_->size(), next_arrival_ + kPrefetchDepth);
+  const std::size_t depth = pristine_ ? kPrefetchDepth : kViewPrefetchDepth;
+  const std::size_t end = std::min(stream_->size(), next_arrival_ + depth);
   prefetch_end_ = std::max(prefetch_end_, next_arrival_);
   for (; prefetch_end_ < end; ++prefetch_end_) {
     if (!read_ahead_.fill(prefetch_end_, *stream_)) return;
-    base_router_->prefetch(read_ahead_.at(prefetch_end_));
+    const Transaction& tx = read_ahead_.at(prefetch_end_);
+    if (!pristine_) {
+      // The mask the sender's context will route under unless its view
+      // changes first (then the lookup refuses the request).
+      fill_view_mask(tx.sender, hint_mask_);
+      prefetch_router_->set_open_mask(hint_mask_.data());
+    }
+    prefetch_router_->prefetch(tx);
   }
 }
 
 void ScenarioEngine::stop_prefetch() {
-  if (!prefetching_) return;
-  prefetching_ = false;
-  base_router_->stop_prefetch();
+  if (!prefetch_router_) return;
+  prefetch_router_->stop_prefetch();
+  prefetch_router_ = nullptr;
+}
+
+void ScenarioEngine::end_pristine_era() {
+  // The pristine router routes nothing from here on: end its prefetch.
+  stop_prefetch();
+  pristine_ = false;
+  if (!incremental_) return;
+  // Built here, not in the constructor: the stale-view machinery is the
+  // first reader, and a run without closes never needs it.
+  build_view_graph();
+  // Replay parks its pipeline at this close and routes on; its stale-view
+  // routers keep routing inline, unhinted.
+  const std::size_t helpers = ThreadPool::hardware_threads() - 1;
+  if (concurrent_ || helpers == 0) return;
+  std::unique_ptr<Router> lender = make_view_router(seed_);
+  if (!lender->start_prefetch(helpers)) return;
+  view_prefetcher_ = std::move(lender);
+  hint_mask_.resize(view_graph_.num_edges());
+  prefetch_router_ = view_prefetcher_.get();
+  // Hints restart at the next arrival to stage; the staged one routes
+  // unhinted.
+  prefetch_end_ = next_arrival_;
 }
 
 void ScenarioEngine::stage_next_arrival() {
   if (next_arrival_ >= stream_->size()) return;
-  if (prefetching_) prefetch_ahead();
+  if (prefetch_router_) prefetch_ahead();
   // Staging reads through the shared read-ahead: replay dispatch and
   // prefetch may have read this payment from the stream already.
   if (!read_ahead_.fill(next_arrival_, *stream_)) {
@@ -1381,9 +1378,7 @@ bool ScenarioEngine::close_channel_now(std::size_t c) {
   }
   open_[c] = 0;
   ++truth_version_;
-  // The pristine router routes nothing from here on: end its prefetch.
-  stop_prefetch();
-  pristine_ = false;
+  if (pristine_) end_pristine_era();
   ++result_.channels_closed;
   if (!ever_churned_[c]) {
     ever_churned_[c] = 1;
@@ -1805,6 +1800,69 @@ void ScenarioEngine::rebuild_context(SenderContext& ctx, NodeId sender) {
   ctx.recycled = false;
 }
 
+void ScenarioEngine::build_view_graph() {
+  const Graph& g = workload_->graph();
+  // The shared full-shape view graph: every sender's gossip view is a
+  // subset of the truth channel set (bootstrap seeds everything open and
+  // gossip only flips open state), so ONE immutable graph holding every
+  // channel in sorted-pair order serves all senders; closed channels are
+  // masked per sender. Edge ids here are an order-preserving renaming of
+  // any compacted per-view graph's ids, which is what makes masked
+  // search results identical to the oracle's (see ARCHITECTURE.md).
+  view_graph_ = Graph(g.num_nodes());
+  view_graph_.reserve_channels(sorted_channels_.size());
+  view_to_physical_.reserve(2 * sorted_channels_.size());
+  for (std::size_t i = 0; i < sorted_channels_.size(); ++i) {
+    const EdgeId pf = g.channel_forward_edge(sorted_channels_[i]);
+    const auto [u, v] = sorted_pairs_[i];
+    view_graph_.add_channel(u, v);
+    if (g.from(pf) == u) {
+      view_to_physical_.push_back(pf);
+      view_to_physical_.push_back(g.reverse(pf));
+    } else {
+      view_to_physical_.push_back(g.reverse(pf));
+      view_to_physical_.push_back(pf);
+    }
+  }
+  view_graph_.finalize();
+  view_fees_ = FeeSchedule(view_graph_);
+  view_phys_to_local_.assign(g.num_edges(), 0);
+  for (std::size_t le = 0; le < view_to_physical_.size(); ++le) {
+    view_fees_.set_policy(static_cast<EdgeId>(le),
+                          workload_->fees().policy(view_to_physical_[le]));
+    view_phys_to_local_[view_to_physical_[le]] =
+        static_cast<std::uint32_t>(le) + 1;
+  }
+}
+
+std::unique_ptr<Router> ScenarioEngine::make_view_router(
+    std::uint64_t seed) const {
+  // Stale-view routers recompute exhausted table entries (see
+  // rebuild_context).
+  FlashOptions stale_opts = opts_;
+  stale_opts.table_recompute_on_exhaustion = true;
+  return make_router(scheme_, view_graph_, view_fees_, elephant_threshold_,
+                     stale_opts, seed);
+}
+
+void ScenarioEngine::fill_view_mask(NodeId sender,
+                                    std::vector<unsigned char>& mask) const {
+  // Only ever-churned channels can be absent from a view (bootstrap seeds
+  // every channel open), so start all-open and walk the churned list.
+  const Graph& pg = workload_->graph();
+  mask.assign(view_graph_.num_edges(), 1);
+  const gossip::NodeView& view = gossip_.view(sender);
+  for (const std::size_t c : churned_list_) {
+    const EdgeId fe = pg.channel_forward_edge(c);
+    if (!view.knows_channel(pg.from(fe), pg.to(fe))) {
+      const EdgeId vf =
+          view_graph_.channel_forward_edge(truth_to_view_channel_[c]);
+      mask[vf] = 0;
+      mask[view_graph_.reverse(vf)] = 0;
+    }
+  }
+}
+
 std::uint64_t ScenarioEngine::context_router_seed(NodeId sender) const {
   // Fresh deterministic entropy per (sender, view version): a rebuilt or
   // reseeded router must not restart the same randomized-path-order
@@ -1824,25 +1882,11 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
   // path (first use of a sender, or a slot recycled from another sender),
   // the moral equivalent of the oracle's rebuild_context.
   ++result_.router_rebuilds;
-  const Graph& pg = workload_->graph();
   ctx.graph = &view_graph_;
   ctx.to_phys = &view_to_physical_;
   ctx.phys_map = &view_phys_to_local_;
 
-  // The sender's view, as a mask over the shared full-shape graph. Only
-  // ever-churned channels can be absent from a view (bootstrap seeds every
-  // channel open), so start all-open and walk the churned list.
-  ctx.open_mask.assign(view_graph_.num_edges(), 1);
-  const gossip::NodeView& view = gossip_.view(sender);
-  for (const std::size_t c : churned_list_) {
-    const EdgeId fe = pg.channel_forward_edge(c);
-    if (!view.knows_channel(pg.from(fe), pg.to(fe))) {
-      const EdgeId vf =
-          view_graph_.channel_forward_edge(truth_to_view_channel_[c]);
-      ctx.open_mask[vf] = 0;
-      ctx.open_mask[view_graph_.reverse(vf)] = 0;
-    }
-  }
+  fill_view_mask(sender, ctx.open_mask);
 
   if (ctx.router) {
     // Recycled slot: a strict clear plus a reseed leaves the router in
@@ -1851,11 +1895,8 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
     ctx.router->apply_topology_delta({}, {}, /*strict=*/true);
     ctx.router->reseed(context_router_seed(sender));
   } else {
-    FlashOptions stale_opts = opts_;
-    stale_opts.table_recompute_on_exhaustion = true;
-    ctx.router = make_router(scheme_, view_graph_, view_fees_,
-                             elephant_threshold_, stale_opts,
-                             context_router_seed(sender));
+    ctx.router = make_view_router(context_router_seed(sender));
+    if (view_prefetcher_) ctx.router->borrow_prefetch(*view_prefetcher_);
   }
   ctx.router->set_open_mask(ctx.open_mask.data());
 

@@ -227,16 +227,16 @@ struct FaultPlan {
 /// How per-sender routers react to gossip view changes.
 enum class RouterMaintenance : std::uint8_t {
   /// Reconstruct the sender's local graph, fees, mirror and router from
-  /// scratch on every view change — O(network) per change. The original
-  /// behavior and the oracle the differential fuzz harness pins the
-  /// incremental modes against.
+  /// scratch on every view change — O(network) per change. The oracle the
+  /// differential fuzz harness pins the incremental modes against, and the
+  /// path of schemes whose router cannot mask edges (SpeedyMurmurs).
   kFullRebuild,
-  /// Keep one engine-shared full-shape view graph and patch the sender's
-  /// open-edge mask for the delta only, then drop ALL router caches and
-  /// reseed — O(churned channels) per change, provably bit-identical to
-  /// kFullRebuild for every scheme (masked search over the full-shape
-  /// graph equals search over the compacted open subgraph; see
-  /// docs/ARCHITECTURE.md "Incremental router maintenance").
+  /// The default. Keep one engine-shared full-shape view graph and patch
+  /// the sender's open-edge mask for the delta only, then drop ALL router
+  /// caches and reseed — O(churned channels) per change, provably
+  /// bit-identical to kFullRebuild for every scheme (masked search over
+  /// the full-shape graph equals search over the compacted open subgraph;
+  /// see docs/ARCHITECTURE.md "Incremental router maintenance").
   kIncrementalStrict,
   /// Patch the mask AND keep router caches, dropping only entries whose
   /// cached paths cross a closed channel; reopens leave entries
@@ -314,10 +314,11 @@ struct ScenarioConfig {
   /// the original behavior, bit-identical. Evicted senders rebuild on
   /// their next payment, so any K > 0 trades rebuild work for memory.
   std::size_t max_sender_routers = 0;
-  /// View-change reaction (see RouterMaintenance). Defaults to the full
-  /// rebuild so existing pinned results stay bit-identical; schemes whose
-  /// router cannot mask edges (SpeedyMurmurs) silently fall back to it.
-  RouterMaintenance maintenance = RouterMaintenance::kFullRebuild;
+  /// View-change reaction (see RouterMaintenance). Defaults to strict
+  /// incremental maintenance, bit-identical to the full rebuild; schemes
+  /// whose router cannot mask edges (SpeedyMurmurs) silently fall back to
+  /// the full rebuild.
+  RouterMaintenance maintenance = RouterMaintenance::kIncrementalStrict;
 };
 
 /// Simulation metrics plus scenario-level counters.
@@ -629,24 +630,45 @@ class ScenarioEngine {
   /// dispatch while it is live.
   void release_read_ahead();
 
-  // --- Yen prefetch (pristine era, sequential execution) -----------------
+  // --- Yen prefetch (sequential execution) -------------------------------
   //
-  // The pristine router sees each payment up to kPrefetchDepth arrivals
+  // The engine shows each payment to a prefetching router a few arrivals
   // before it routes, through Router::prefetch, so a Flash router's
-  // helpers can run the mice table's Yen ahead of the arrival cursor.
-  // Exact because the pristine router's graph is immutable and unmasked;
-  // see docs/ARCHITECTURE.md "Yen prefetch in the pristine era".
+  // helpers can run the mice table's Yen ahead of the arrival cursor. In
+  // the pristine era that router is base_router_. From the first close,
+  // incremental maintenance hints view_prefetcher_ instead, under the
+  // sender's current view mask, and every stale-view router borrows its
+  // helpers. Exact because a request is adopted only under a byte-equal
+  // mask over the same immutable graph; see docs/ARCHITECTURE.md "Yen
+  // prefetch".
 
-  /// Payments hinted ahead of the staged arrival while prefetch runs.
+  /// Payments hinted ahead of the staged arrival in the pristine era.
   static constexpr std::size_t kPrefetchDepth = 1024;
+  /// Payments hinted ahead after the first close. A hint's mask is stale
+  /// once its sender's view changes, so this trades lead time against
+  /// mask hits. On perfbench churn-gossip (seed 11, 4-vCPU Xeon VM, one
+  /// run each) depths 4, 8, 16 and 32 gave 1,739, 1,711, 1,599 and 1,342
+  /// pay/s; helpers served 82, 78, 67 and 49 % of the misses they had a
+  /// request for.
+  static constexpr std::size_t kViewPrefetchDepth = 8;
   /// Starts the pristine router's prefetch on hardware_threads() - 1
   /// helpers (none on a 1-thread host: the plain path runs unchanged).
   void start_prefetch();
-  /// Hints every payment up to kPrefetchDepth past the staging cursor.
+  /// Hints every payment up to the era's depth past the staging cursor.
   void prefetch_ahead();
-  /// Ends prefetch for good (pristine era over, or run() done): the
-  /// router cancels its queue and joins its helpers. Idempotent.
+  /// Ends the current era's prefetch: the prefetching router cancels its
+  /// queue and joins its helpers. Idempotent.
   void stop_prefetch();
+  /// The first close: ends the pristine era, builds the view graph for
+  /// incremental maintenance and starts its prefetch.
+  void end_pristine_era();
+  /// Builds view_graph_, view_fees_ and the view <-> truth edge maps.
+  void build_view_graph();
+  /// A stale-view router over view_graph_ (incremental maintenance).
+  std::unique_ptr<Router> make_view_router(std::uint64_t seed) const;
+  /// Sets `mask` (one flag per view_graph_ edge) to `sender`'s gossip
+  /// view: open unless a churned channel is unknown to the view.
+  void fill_view_mask(NodeId sender, std::vector<unsigned char>& mask) const;
   void attempt_payment(std::size_t tx_index, std::size_t attempt);
   /// Stages the router's holds (abort on `ledger`, remember edges/amounts
   /// in staged_edges_/staged_amounts_, translating view edges to physical
@@ -781,7 +803,8 @@ class ScenarioEngine {
   // "view graph" (every truth channel, added in the sorted (u, v) order
   // for_each_open emits) with per-sender open-edge masks. The fee schedule
   // and the view-edge <-> truth-edge maps are identical across senders and
-  // shared too; per-sender state shrinks to mask + mirror + router.
+  // shared too; per-sender state shrinks to mask + mirror + router. All of
+  // it is built at the first close (build_view_graph).
   bool incremental_ = false;
   Graph view_graph_;
   FeeSchedule view_fees_;
@@ -789,6 +812,13 @@ class ScenarioEngine {
   std::vector<std::uint32_t> view_phys_to_local_; // truth edge -> view edge+1
   std::vector<std::size_t> truth_to_view_channel_;
   std::vector<EdgeId> closed_buf_, reopened_buf_; // patch delta scratch
+  // Created once, at the first close (sequential execution, incremental
+  // Flash maintenance, >= 2 hardware threads): a router over view_graph_
+  // that routes nothing. It owns the stale era's Yen helpers, which every
+  // stale-view router borrows, and the engine hints it under hint_mask_.
+  // Declared before contexts_ so the borrowers are destroyed first.
+  std::unique_ptr<Router> view_prefetcher_;
+  std::vector<unsigned char> hint_mask_;
 
   SenderRouterCache contexts_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
@@ -810,8 +840,8 @@ class ScenarioEngine {
     void release(std::size_t keep);
   };
   ReadAhead read_ahead_;
-  bool prefetching_ = false;      // the pristine router is prefetching
-  std::size_t prefetch_end_ = 0;  // next stream index to hint
+  Router* prefetch_router_ = nullptr;  // hinted while prefetch runs
+  std::size_t prefetch_end_ = 0;       // next stream index to hint
   std::size_t next_arrival_ = 0;      // index of the next stream payment
   double prev_arrival_time_ = 0;      // arrival-time monotonicity clamp
   Transaction staged_tx_;             // payment of the staged arrival event

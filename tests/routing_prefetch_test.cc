@@ -1,7 +1,8 @@
-// Tests for the mice routing table's Yen prefetch
-// (MiceRoutingTable::start_prefetch) and for the scenario engine that
-// feeds it. Every way a lookup miss can be served — a finished result, a
-// running one waited for, a queued one computed inline, and any of them
+// Tests for the mice routing table's Yen prefetch (YenPrefetcher, owned
+// through MiceRoutingTable::start_prefetch or borrowed through
+// borrow_prefetch) and for the scenario engine that feeds it. Every way a
+// lookup miss can be served — a finished result, a running one waited for,
+// a queued one or one under another mask computed inline, and any of them
 // filtered by max_hops — must leave exactly the entries, spares and
 // computations() of a table that never prefetched. Requests still
 // outstanding at clear(), at table destruction and at an engine's first
@@ -12,6 +13,8 @@
 #include <chrono>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -71,11 +74,14 @@ std::vector<std::vector<Path>> drain_entry(MiceRoutingTable& t, NodeId s,
 }
 
 /// Asserts the prefetching table serves (s, r) exactly like a plain table
-/// with the same config (entries, spares, computations()).
+/// with the same config (entries, spares, computations()). The prefetching
+/// lookup runs first, so it can find a helper still running the pair's Yen
+/// (the plain table's inline Yen would otherwise give the helper time to
+/// finish).
 void expect_same_entry(MiceRoutingTable& prefetching, MiceRoutingTable& plain,
                        NodeId s, NodeId r) {
-  EXPECT_EQ(drain_entry(prefetching, s, r), drain_entry(plain, s, r))
-      << "pair " << s << " -> " << r;
+  const auto got = drain_entry(prefetching, s, r);
+  EXPECT_EQ(got, drain_entry(plain, s, r)) << "pair " << s << " -> " << r;
   EXPECT_EQ(prefetching.computations(), plain.computations());
 }
 
@@ -245,28 +251,196 @@ TEST(RoutingTablePrefetch, StopDropsRequestsAndRestarts) {
   EXPECT_EQ(prefetching.prefetch_stats().requested, 2 * pairs.size() - 1);
 }
 
-TEST(RoutingTablePrefetch, MaskedTableNeitherStartsNorUsesPrefetch) {
-  const Graph& g = ripple();
+/// A mask over `g` with every 7th directed edge closed.
+std::vector<unsigned char> sparse_mask(const Graph& g) {
   std::vector<unsigned char> mask(g.num_edges(), 1);
   for (EdgeId e = 0; e < g.num_edges(); e += 7) mask[e] = 0;
+  return mask;
+}
+
+TEST(RoutingTablePrefetch, MaskedRequestIsAdoptedUnderByteEqualMask) {
+  const Graph& g = ripple();
+  const std::vector<unsigned char> hinted = sparse_mask(g);
+  const std::vector<unsigned char> looked_up = hinted;  // other buffer
   MiceRoutingTable prefetching(g, kTable);
   MiceRoutingTable plain(g, kTable);
-  prefetching.set_open_mask(mask.data());
-  plain.set_open_mask(mask.data());
-  EXPECT_FALSE(prefetching.start_prefetch(2));
-
-  // Requests made before a mask was installed are computed unmasked; the
-  // masked lookups must not take them.
-  prefetching.set_open_mask(nullptr);
+  plain.set_open_mask(looked_up.data());
   ASSERT_TRUE(prefetching.start_prefetch(2));
-  const auto pairs = distinct_pairs(g, 8, 17);
+  prefetching.set_open_mask(hinted.data());
+  const auto pairs = distinct_pairs(g, 16, 18);
   for (const auto& [s, r] : pairs) prefetching.prefetch(s, r);
   wait_for(prefetching, [&](const PrefetchStats& st) {
     return st.completed == pairs.size();
   });
-  prefetching.set_open_mask(mask.data());
+  prefetching.set_open_mask(looked_up.data());
   for (const auto& [s, r] : pairs) expect_same_entry(prefetching, plain, s, r);
-  EXPECT_EQ(prefetching.prefetch_stats().took_finished, 0u);
+  EXPECT_EQ(prefetching.prefetch_stats().took_finished, pairs.size());
+}
+
+TEST(RoutingTablePrefetch, RequestUnderAnotherMaskIsComputedInline) {
+  const Graph& g = ripple();
+  const std::vector<unsigned char> mask = sparse_mask(g);
+  // Requests made without a mask, then looked up under one; and requests
+  // made under a mask, then looked up under one that also closes the first
+  // edge of the pair's shortest path. Either way the lookup must refuse
+  // the request and compute inline.
+  std::vector<Pair> pairs;
+  std::vector<std::vector<unsigned char>> lookup_masks;
+  for (const auto& [s, r] : distinct_pairs(g, 32, 17)) {
+    MiceRoutingTable probe(g, kTable);
+    probe.set_open_mask(mask.data());
+    const auto& active = probe.lookup(s, r);
+    if (active.empty()) continue;
+    pairs.emplace_back(s, r);
+    lookup_masks.push_back(mask);
+    lookup_masks.back()[active.front().front()] = 0;
+    if (pairs.size() == 8) break;
+  }
+  ASSERT_EQ(pairs.size(), 8u);
+  for (const bool hint_masked : {false, true}) {
+    MiceRoutingTable prefetching(g, kTable);
+    ASSERT_TRUE(prefetching.start_prefetch(2));
+    prefetching.set_open_mask(hint_masked ? mask.data() : nullptr);
+    for (const auto& [s, r] : pairs) prefetching.prefetch(s, r);
+    wait_for(prefetching, [&](const PrefetchStats& st) {
+      return st.completed == pairs.size();
+    });
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& [s, r] = pairs[i];
+      const unsigned char* at_lookup =
+          hint_masked ? lookup_masks[i].data() : mask.data();
+      MiceRoutingTable plain(g, kTable);
+      plain.set_open_mask(at_lookup);
+      prefetching.set_open_mask(at_lookup);
+      EXPECT_EQ(drain_entry(prefetching, s, r), drain_entry(plain, s, r))
+          << "pair " << s << " -> " << r << (hint_masked ? ", masked" : "");
+    }
+    const PrefetchStats st = prefetching.prefetch_stats();
+    EXPECT_EQ(st.took_finished + st.waited_running, 0u);
+    EXPECT_EQ(st.computed_inline, pairs.size());
+    EXPECT_EQ(prefetching.computations(), pairs.size());
+  }
+}
+
+TEST(RoutingTablePrefetch, TwoTablesBorrowOnePrefetcher) {
+  const Graph& g = ripple();
+  std::vector<Path> scratch_paths;
+  const std::vector<unsigned char> mask = sparse_mask(g);
+  YenPrefetcher prefetcher(g, kTable.paths_per_receiver + kTable.spare_paths,
+                           2);
+  MiceRoutingTable a(g, kTable);
+  MiceRoutingTable b(g, kTable);
+  MiceRoutingTable plain_a(g, kTable);
+  MiceRoutingTable plain_b(g, kTable);
+  b.set_open_mask(mask.data());
+  plain_b.set_open_mask(mask.data());
+  a.borrow_prefetch(prefetcher);
+  b.borrow_prefetch(prefetcher);
+  EXPECT_EQ(a.prefetcher(), &prefetcher);
+  const auto pairs = distinct_pairs(g, 16, 19);
+  const std::size_t half = pairs.size() / 2;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    (i < half ? a : b).prefetch(pairs[i].first, pairs[i].second);
+  }
+  b.clear();  // a borrower's clear keeps the shared requests
+  EXPECT_EQ(prefetcher.stats().discarded, 0u);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [s, r] = pairs[i];
+    if (i < half) {
+      expect_same_entry(a, plain_a, s, r);
+    } else {
+      expect_same_entry(b, plain_b, s, r);
+    }
+  }
+  const PrefetchStats st = prefetcher.stats();
+  EXPECT_EQ(st.requested, pairs.size());
+  EXPECT_EQ(st.took_finished + st.waited_running + st.computed_inline,
+            pairs.size());
+  EXPECT_EQ(a.prefetch_stats().requested, pairs.size());
+  EXPECT_EQ(b.prefetch_stats().requested, pairs.size());
+
+  // A request for a pair the table already caches (the engine hints a
+  // lender that cannot see the borrower's entries) dies at the lookup hit.
+  const auto [s0, r0] = pairs.front();
+  ASSERT_TRUE(prefetcher.request(s0, r0, nullptr));
+  a.lookup(s0, r0);
+  EXPECT_EQ(prefetcher.stats().discarded, 1u);
+  EXPECT_FALSE(prefetcher.take(s0, r0, nullptr, scratch_paths));
+
+  // A prefetcher over another graph or for another k is refused loudly.
+  const Graph other = g;
+  YenPrefetcher wrong_graph(other, prefetcher.k(), 1);
+  YenPrefetcher wrong_k(g, prefetcher.k() + 1, 1);
+  EXPECT_THROW(a.borrow_prefetch(wrong_graph), std::invalid_argument);
+  EXPECT_THROW(a.borrow_prefetch(wrong_k), std::invalid_argument);
+}
+
+TEST(RoutingTablePrefetch, RehintReplacesQueuedOrFinishedNotRunning) {
+  const Graph& g = ripple();
+  const std::vector<unsigned char> old_mask = sparse_mask(g);
+  std::vector<unsigned char> new_mask = old_mask;
+  new_mask[1] = 0;
+  const std::size_t k = kTable.paths_per_receiver + kTable.spare_paths;
+  // The Yen result a lookup under `mask` must adopt for (s, r).
+  auto expected = [&](NodeId s, NodeId r, const unsigned char* mask) {
+    MiceRoutingTable plain(g, kTable);
+    plain.set_open_mask(mask);
+    return drain_entry(plain, s, r);
+  };
+  auto adopted = [&](YenPrefetcher& p, NodeId s, NodeId r,
+                     const unsigned char* mask) {
+    MiceRoutingTable t(g, kTable);
+    t.set_open_mask(mask);
+    t.borrow_prefetch(p);
+    return drain_entry(t, s, r);
+  };
+
+  {  // Finished: re-queued under the new mask.
+    YenPrefetcher p(g, k, 1);
+    const auto [s, r] = distinct_pairs(g, 1, 20).front();
+    ASSERT_TRUE(p.request(s, r, old_mask.data()));
+    while (p.stats().completed < 1) std::this_thread::yield();
+    EXPECT_FALSE(p.request(s, r, old_mask.data()));  // same mask: kept
+    EXPECT_TRUE(p.request(s, r, new_mask.data()));
+    EXPECT_EQ(adopted(p, s, r, new_mask.data()),
+              expected(s, r, new_mask.data()));
+    const PrefetchStats st = p.stats();
+    EXPECT_EQ(st.requested, 2u);
+    EXPECT_EQ(st.discarded, 1u);
+    EXPECT_EQ(st.took_finished + st.waited_running + st.computed_inline, 1u);
+  }
+  {  // Queued behind 24 others on one helper: re-queued in place.
+    YenPrefetcher p(g, k, 1);
+    const auto pairs = distinct_pairs(g, 25, 21);
+    for (const auto& [s, r] : pairs) p.request(s, r, old_mask.data());
+    const auto [s, r] = pairs.back();
+    EXPECT_TRUE(p.request(s, r, new_mask.data()));
+    EXPECT_EQ(p.stats().discarded, 1u);
+    while (p.stats().completed < pairs.size()) std::this_thread::yield();
+    EXPECT_EQ(adopted(p, s, r, new_mask.data()),
+              expected(s, r, new_mask.data()));
+    EXPECT_EQ(p.stats().took_finished, 1u);
+  }
+  // Running: the re-hint is refused and the running request still serves
+  // its own mask. A round counts only if the request was running both
+  // before and after the re-hint.
+  bool seen_running = false;
+  for (std::uint64_t round = 0; round < 50 && !seen_running; ++round) {
+    YenPrefetcher p(g, k, 1);
+    const auto [s, r] = distinct_pairs(g, 1, 300 + round).front();
+    ASSERT_TRUE(p.request(s, r, old_mask.data()));
+    while (p.stats().started < 1) std::this_thread::yield();
+    const bool rehinted = p.request(s, r, new_mask.data());
+    if (p.stats().completed != 0) continue;  // finished meanwhile: retry
+    seen_running = true;
+    EXPECT_FALSE(rehinted);
+    EXPECT_EQ(adopted(p, s, r, old_mask.data()),
+              expected(s, r, old_mask.data()));
+    const PrefetchStats st = p.stats();
+    EXPECT_EQ(st.requested, 1u);
+    EXPECT_EQ(st.took_finished + st.waited_running, 1u);
+  }
+  EXPECT_TRUE(seen_running) << "never caught a request running";
 }
 
 // --- The Flash router and the scenario engine -----------------------------
@@ -334,11 +508,13 @@ TEST(ScenarioPrefetch, StaticRunsRepeatAndMatchRunSimulation) {
   }
 }
 
-TEST(ScenarioPrefetch, FirstChurnCloseStopsPrefetchExactly) {
+TEST(ScenarioPrefetch, FirstChurnCloseHandsPrefetchToViewRouters) {
   // A channel closes at t = 40 with up to kPrefetchDepth payments hinted
-  // past it: the pristine router's queued Yen is cancelled, running ones
-  // finish unused, and the stale-view routers take over. Repeats must
-  // agree, and so must replay, whose pristine routers never prefetch.
+  // past it: the pristine router's queued Yen is cancelled and running
+  // ones finish unused. The stale-view routers take over, borrowing the
+  // helpers of one prefetcher over the view graph, which the engine hints
+  // a few arrivals ahead under each sender's view mask. Repeats must
+  // agree, and so must replay, whose routers never prefetch.
   const Workload w = small_ripple(300, 5);
   SimConfig sim;
   sim.capacity_scale = 10;
@@ -359,6 +535,54 @@ TEST(ScenarioPrefetch, FirstChurnCloseStopsPrefetchExactly) {
   const ScenarioResult spec = run_scenario(w, Scheme::kFlash, {}, sim, replay, 9);
   EXPECT_EQ(spec.payment_digest, first.payment_digest);
   flash::testing::expect_identical(spec.sim, first.sim);
+}
+
+TEST(ScenarioPrefetch, ChurnRunsMatchTheirOracles) {
+  // Churn with gossip delay: view masks change between a payment's hint
+  // and its lookup, so some requests are adopted and some refused. With
+  // one context slot every sender change also recycles the router that
+  // borrows the prefetcher. Strict maintenance must equal the full
+  // rebuild, and lazy (not path-identical to it for Flash) must equal
+  // replay, whose routers never prefetch.
+  const Workload w = small_ripple(120, 6);
+  SimConfig sim;
+  sim.capacity_scale = 10;
+  ScenarioConfig base;
+  base.churn.close_rate = 0.2;
+  base.churn.mean_downtime = 20;
+  base.gossip.hop_delay = 3;
+  base.retry.max_retries = 1;
+  base.payment_indexed_rng = true;
+  for (const std::size_t slots : {std::size_t{0}, std::size_t{1}}) {
+    for (const RouterMaintenance mode :
+         {RouterMaintenance::kIncrementalStrict,
+          RouterMaintenance::kIncrementalLazy}) {
+      ScenarioConfig cfg = base;
+      cfg.max_sender_routers = slots;
+      cfg.maintenance = mode;
+      const bool strict = mode == RouterMaintenance::kIncrementalStrict;
+      SCOPED_TRACE(std::string(strict ? "strict" : "lazy") + ", slots " +
+                   std::to_string(slots));
+      const ScenarioResult got =
+          run_scenario(w, Scheme::kFlash, {}, sim, cfg, 21);
+      EXPECT_GT(got.channels_closed, 0u);
+      EXPECT_GT(got.router_patches, 0u);
+      EXPECT_EQ(run_scenario(w, Scheme::kFlash, {}, sim, cfg, 21)
+                    .payment_digest,
+                got.payment_digest);
+      ScenarioConfig oracle = cfg;
+      if (strict) {
+        oracle.maintenance = RouterMaintenance::kFullRebuild;
+      } else {
+        oracle.concurrency.execution = ScenarioExecution::kReplay;
+        oracle.concurrency.workers = 2;
+      }
+      const ScenarioResult want =
+          run_scenario(w, Scheme::kFlash, {}, sim, oracle, 21);
+      EXPECT_EQ(got.payment_digest, want.payment_digest);
+      flash::testing::expect_identical(got.sim, want.sim);
+    }
+  }
 }
 
 }  // namespace

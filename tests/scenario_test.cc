@@ -300,6 +300,7 @@ TEST(Scenario, EvictedSenderRebuildsNeverPatchesFromForeignState) {
   cfg.churn.mean_downtime = 30;
   cfg.gossip.hop_delay = 3;
   cfg.max_sender_routers = 1;
+  cfg.maintenance = RouterMaintenance::kFullRebuild;
   ScenarioConfig inc_cfg = cfg;
   inc_cfg.maintenance = RouterMaintenance::kIncrementalStrict;
   for (const Scheme scheme : {Scheme::kFlash, Scheme::kShortestPath}) {
@@ -328,6 +329,7 @@ TEST(Scenario, RebuildCountPinnedAcrossViewMappingRefactor) {
   ScenarioConfig cfg;
   cfg.churn.close_rate = 0.1;
   cfg.churn.mean_downtime = 40;
+  cfg.maintenance = RouterMaintenance::kFullRebuild;
   const ScenarioResult got = run_scenario(w, Scheme::kFlash, {}, sim, cfg, 4);
   EXPECT_EQ(got.router_rebuilds, 189u);
   EXPECT_EQ(got.router_patches, 0u);  // oracle mode never patches
