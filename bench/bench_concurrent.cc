@@ -1,13 +1,12 @@
 // Concurrent payment-engine benchmark: sustained routing throughput and
-// per-payment latency of the three ScenarioExecution modes on the same
+// per-payment latency of both ScenarioExecution modes on the same
 // workload, plus the replay-determinism evidence the CI smoke gate checks.
 //
 // Rows are mode x threads: `sequential` (the threads=1 oracle, with
-// payment-indexed rng on so it is the replay equality baseline), `replay`
-// (speculative routing, logical-order settlement — bit-identical digest
-// at every thread count), and `free` (free-order commit, conservation
-// only). The cell is churn-free and retry-free because free-order rejects
-// event-loop dynamics by contract (see ScenarioConfig::validate).
+// payment-indexed rng on so it is the replay equality baseline) and
+// `replay` (speculative routing, logical-order settlement — bit-identical
+// digest at every thread count). The cell is churn-free and retry-free:
+// static inputs are where replay speculates.
 //
 // Knobs (on top of bench_common.h's): FLASH_BENCH_WORKERS is a comma list
 // of thread counts for the concurrent rows (default "1,2,8").
@@ -67,10 +66,10 @@ ConcRow run_row(const Workload& w, const char* mode, ScenarioExecution exec,
   FlashOptions opts;
   SimConfig sim;
   sim.invariant_stride = 4096;
-  ScenarioConfig scenario;  // churn-free: free-order's contract
+  ScenarioConfig scenario;
   scenario.concurrency.execution = exec;
   scenario.concurrency.workers = threads;
-  // The oracle must share the concurrent modes' per-payment rng pinning,
+  // The oracle must share replay's per-payment rng pinning,
   // or the digests would differ by design rather than by bug.
   scenario.payment_indexed_rng = true;
 
@@ -115,8 +114,7 @@ void write_json(const std::string& path, const std::vector<ConcRow>& rows,
         << ", \"latency_p99_seconds\": " << r.result.latency.p99_seconds
         << ", \"digest\": " << r.result.payment_digest
         << ", \"spec_accepted\": " << r.result.spec_accepted
-        << ", \"spec_rerouted\": " << r.result.spec_rerouted
-        << ", \"commit_conflicts\": " << r.result.commit_conflicts << "}"
+        << ", \"spec_rerouted\": " << r.result.spec_rerouted << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -135,7 +133,7 @@ int run() {
   }
 
   print_header("bench_concurrent",
-               "route->settle pipeline: sequential vs replay vs free-order");
+               "route->settle pipeline: sequential vs replay");
   Rng rng(1);
   const Graph g = scale_free_lightning(nodes, rng);
   LightningSnapshot snap;
@@ -159,17 +157,12 @@ int run() {
     rows.push_back(
         run_row(w, "replay", ScenarioExecution::kReplay, t, payments));
   }
-  for (const std::size_t t : worker_counts()) {
-    std::printf("-- free x%zu\n", t);
-    rows.push_back(
-        run_row(w, "free", ScenarioExecution::kFreeOrder, t, payments));
-  }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
 
   TextTable tab;
   tab.header({"mode", "threads", "pay/s", "success", "p50 ms", "p99 ms",
-              "accepted", "rerouted", "conflicts", "digest"});
+              "accepted", "rerouted", "digest"});
   for (const ConcRow& r : rows) {
     char digest[32];
     std::snprintf(digest, sizeof digest, "%016llx",
@@ -179,8 +172,7 @@ int run() {
              fmt(r.result.latency.p50_seconds * 1e3, 3),
              fmt(r.result.latency.p99_seconds * 1e3, 3),
              std::to_string(r.result.spec_accepted),
-             std::to_string(r.result.spec_rerouted),
-             std::to_string(r.result.commit_conflicts), digest});
+             std::to_string(r.result.spec_rerouted), digest});
   }
   print_table(tab);
 

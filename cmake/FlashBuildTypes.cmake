@@ -24,39 +24,45 @@ if(NOT _flash_multi_config)
   endif()
 endif()
 
+# Sets a build type's flags cache entry. An explicit
+# -DCMAKE_BUILD_TYPE=<type> on a fresh configure makes project() create
+# that type's entries empty before this file runs, and a plain
+# set(... CACHE ...) never overwrites a cache entry: the build would
+# silently lose its optimization or sanitizer flags. So an empty entry is
+# overwritten too.
+macro(flash_build_flags var value doc)
+  set(${var} "${value}" CACHE STRING "${doc}")
+  if("${${var}}" STREQUAL "")
+    set(${var} "${value}" CACHE STRING "${doc}" FORCE)
+  endif()
+endmacro()
+
 # Release-with-assertions: optimized but without NDEBUG.
-set(CMAKE_CXX_FLAGS_RELWITHASSERT "-O2 -g"
-    CACHE STRING "C++ flags for RelWithAssert builds")
-# An explicit -DCMAKE_BUILD_TYPE=RelWithAssert on a fresh configure makes
-# project() create this cache entry empty before this file runs, and the
-# set() above never overwrites a cache entry: the build would be
-# unoptimized.
-if(CMAKE_CXX_FLAGS_RELWITHASSERT STREQUAL "")
-  set(CMAKE_CXX_FLAGS_RELWITHASSERT "-O2 -g"
-      CACHE STRING "C++ flags for RelWithAssert builds" FORCE)
-endif()
-set(CMAKE_EXE_LINKER_FLAGS_RELWITHASSERT ""
-    CACHE STRING "Linker flags for RelWithAssert builds")
-set(CMAKE_SHARED_LINKER_FLAGS_RELWITHASSERT ""
-    CACHE STRING "Shared linker flags for RelWithAssert builds")
+flash_build_flags(CMAKE_CXX_FLAGS_RELWITHASSERT "-O2 -g"
+                  "C++ flags for RelWithAssert builds")
+flash_build_flags(CMAKE_EXE_LINKER_FLAGS_RELWITHASSERT ""
+                  "Linker flags for RelWithAssert builds")
+flash_build_flags(CMAKE_SHARED_LINKER_FLAGS_RELWITHASSERT ""
+                  "Shared linker flags for RelWithAssert builds")
 
 # Sanitizer build: ASan + UBSan, frame pointers kept for readable reports.
-set(FLASH_SANITIZE_FLAGS
-    "-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer")
-set(CMAKE_CXX_FLAGS_ASAN "${FLASH_SANITIZE_FLAGS}"
-    CACHE STRING "C++ flags for Asan builds")
-set(CMAKE_EXE_LINKER_FLAGS_ASAN "-fsanitize=address,undefined"
-    CACHE STRING "Linker flags for Asan builds")
-set(CMAKE_SHARED_LINKER_FLAGS_ASAN "-fsanitize=address,undefined"
-    CACHE STRING "Shared linker flags for Asan builds")
+flash_build_flags(CMAKE_CXX_FLAGS_ASAN
+    "-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+    "C++ flags for Asan builds")
+flash_build_flags(CMAKE_EXE_LINKER_FLAGS_ASAN "-fsanitize=address,undefined"
+                  "Linker flags for Asan builds")
+flash_build_flags(CMAKE_SHARED_LINKER_FLAGS_ASAN
+                  "-fsanitize=address,undefined"
+                  "Shared linker flags for Asan builds")
 
 # ThreadSanitizer build: data-race detection for the parallel sweep engine.
-set(CMAKE_CXX_FLAGS_TSAN "-O1 -g -fsanitize=thread -fno-omit-frame-pointer"
-    CACHE STRING "C++ flags for Tsan builds")
-set(CMAKE_EXE_LINKER_FLAGS_TSAN "-fsanitize=thread"
-    CACHE STRING "Linker flags for Tsan builds")
-set(CMAKE_SHARED_LINKER_FLAGS_TSAN "-fsanitize=thread"
-    CACHE STRING "Shared linker flags for Tsan builds")
+flash_build_flags(CMAKE_CXX_FLAGS_TSAN
+                  "-O1 -g -fsanitize=thread -fno-omit-frame-pointer"
+                  "C++ flags for Tsan builds")
+flash_build_flags(CMAKE_EXE_LINKER_FLAGS_TSAN "-fsanitize=thread"
+                  "Linker flags for Tsan builds")
+flash_build_flags(CMAKE_SHARED_LINKER_FLAGS_TSAN "-fsanitize=thread"
+                  "Shared linker flags for Tsan builds")
 
 mark_as_advanced(
   CMAKE_CXX_FLAGS_RELWITHASSERT

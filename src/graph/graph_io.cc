@@ -48,7 +48,7 @@ Graph read_edge_list(std::istream& is) {
     }
     const auto u = parse_uint(fields[0]);
     const auto v = parse_uint(fields[1]);
-    if (!u || !v) {
+    if (!u || !v || *u > kInvalidNode - 1 || *v > kInvalidNode - 1) {
       throw std::runtime_error("edge list line " + std::to_string(lineno) +
                                ": bad node id");
     }

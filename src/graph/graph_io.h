@@ -26,7 +26,8 @@ namespace flash {
 /// Writes `g` as an edge list.
 void write_edge_list(std::ostream& os, const Graph& g);
 
-/// Parses an edge list. Throws std::runtime_error on malformed input.
+/// Parses an edge list. Throws std::runtime_error naming the offending
+/// line on malformed input and node ids above kInvalidNode - 1.
 Graph read_edge_list(std::istream& is);
 
 /// Convenience file wrappers; throw std::runtime_error on I/O failure.

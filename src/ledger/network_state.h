@@ -10,7 +10,6 @@
 // in-flight holds == total deposit, under every sequence of operations.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -108,30 +107,6 @@ class NetworkState {
     assert(e < balance_.size());
     if (read_log_enabled_) read_log_.push_back(e);
     return balance_[e];
-  }
-
-  // --- Relaxed shared access (free-order concurrent engine) ---------------
-  //
-  // The free-order engine lets worker threads write disjoint-stripe commits
-  // and read cross-stripe balances concurrently (mirror resyncs run without
-  // taking every stripe lock). Those accesses go through atomic_ref so the
-  // concurrent reads are not data races; values may be instantaneously
-  // stale, which the striped-commit revalidation tolerates by design.
-
-  /// Racy-but-not-UB balance read for concurrent phases.
-  Amount balance_relaxed(EdgeId e) const noexcept {
-    assert(e < balance_.size());
-    return std::atomic_ref<Amount>(const_cast<Amount&>(balance_[e]))
-        .load(std::memory_order_relaxed);
-  }
-
-  /// Balance store visible to concurrent balance_relaxed readers. Does NOT
-  /// re-base deposits and is NOT journaled (like mirror_balance, the caller
-  /// owns conservation; check_invariants verifies it after the join).
-  void store_balance_relaxed(EdgeId e, Amount v) noexcept {
-    assert(e < balance_.size());
-    std::atomic_ref<Amount>(const_cast<Amount&>(balance_[e]))
-        .store(v, std::memory_order_relaxed);
   }
 
   /// Total deposit of the channel containing e (both directions + holds).

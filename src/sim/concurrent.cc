@@ -1,8 +1,7 @@
-// Concurrent payment engine: the two parallel execution modes of
-// ScenarioEngine (see ScenarioExecution in sim/scenario.h and the
-// "Concurrent payment engine" section of docs/ARCHITECTURE.md).
-//
-// kReplay — speculative routing, logical-order settlement:
+// Concurrent payment engine: the kReplay execution mode of ScenarioEngine
+// (see ScenarioExecution in sim/scenario.h and the "Concurrent payment
+// engine" section of docs/ARCHITECTURE.md). Speculative routing,
+// logical-order settlement:
 //
 //   The sequential event loop stays the single source of ordering truth.
 //   Worker threads (one per `sender % workers` shard) route upcoming
@@ -24,25 +23,12 @@
 //   and coordinator share no atomics. State published before a push is
 //   safely read after the matching pop — which covers the speculation
 //   frames, the truth-write replay log, and the per-worker cursors.
-//
-// kFreeOrder — maximum throughput, conservation-only guarantees:
-//
-//   No event loop at all. Workers pull sender-sharded batches, route on
-//   private mirrors, and commit settlement deltas directly to the shared
-//   truth under channel-striped locks taken in sorted stripe order
-//   (deadlock-free by the standard total-order argument). A commit
-//   revalidates feasibility against the live truth and retries the route
-//   on conflict. Only the channel-conservation invariant is guaranteed;
-//   results are deterministic only at workers == 1.
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstdio>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -53,16 +39,6 @@
 #include "util/thread_pool.h"
 
 namespace flash {
-
-namespace {
-
-/// Same fold as scenario.cc's payment-digest combine (the two TUs must
-/// agree so free-order's per-worker digests compose with the shared seal).
-inline void fold64(std::uint64_t& h, std::uint64_t v) noexcept {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ConcurrentRuntime: all kReplay pipeline state.
@@ -162,7 +138,7 @@ struct ScenarioEngine::ConcurrentRuntime {
   }
 
   ScenarioEngine* eng = nullptr;
-  std::size_t window = 0;  // speculation window (payments)
+  std::size_t window = 0;  // speculation window: 8 payments per worker
   std::size_t ring = 0;    // frame ring size = 2 * window
 
   std::vector<Worker> workers;
@@ -492,8 +468,7 @@ void ScenarioEngine::begin_replay() {
   const std::size_t n = cfg_.concurrency.workers
                             ? cfg_.concurrency.workers
                             : ThreadPool::hardware_threads();
-  rt.window = cfg_.concurrency.batch ? cfg_.concurrency.batch : 8 * n;
-  if (rt.window == 0) rt.window = 1;
+  rt.window = 8 * n;
   rt.ring = 2 * rt.window;
 
   const Graph& g = workload_->graph();
@@ -695,305 +670,6 @@ void ScenarioEngine::replay_publish_all_edges() {
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     rt.log_append(e, ConcurrentRuntime::kExternalSrc, truth_.balance(e));
   }
-}
-
-// ---------------------------------------------------------------------------
-// kFreeOrder.
-// ---------------------------------------------------------------------------
-
-ScenarioResult ScenarioEngine::run_free_order() {
-  const Graph& g = workload_->graph();
-  const std::size_t n = cfg_.concurrency.workers
-                            ? cfg_.concurrency.workers
-                            : ThreadPool::hardware_threads();
-  const std::size_t stripes_n = cfg_.concurrency.stripes;
-  const std::size_t batch_sz =
-      cfg_.concurrency.batch ? cfg_.concurrency.batch : 64;
-  const std::size_t conflict_retries = cfg_.concurrency.conflict_retries;
-  const std::size_t resync_stride =
-      std::max<std::size_t>(1, cfg_.concurrency.resync_stride);
-  cfg_.payment_indexed_rng = true;
-  result_.workers_used = n;
-
-  struct FoTask {
-    std::size_t index = 0;
-    Transaction tx;
-  };
-  struct FoWorker {
-    std::unique_ptr<BoundedQueue<std::vector<FoTask>>> inbox;
-    std::unique_ptr<Router> router;
-    std::unique_ptr<NetworkState> mirror;
-    SimResult sim;
-    std::uint64_t digest = 0;
-    LogHistogram lat{1e-8, 1e3, 8};
-    double lat_sum = 0;
-    double lat_max = 0;
-    std::uint64_t conflicts = 0;
-    std::size_t since_resync = 0;
-    double max_time = 0;
-    std::exception_ptr error;
-    // Scratch (worker-private).
-    std::vector<EdgeId> wedges;
-    std::vector<Amount> wpre;
-    std::vector<Amount> wpost;
-    std::vector<Amount> wnew;
-    std::vector<std::uint32_t> slot;
-    std::vector<std::size_t> stripe_ids;
-  };
-
-  std::vector<std::mutex> stripe_locks(stripes_n);
-  std::vector<Amount> snap(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) snap[e] = truth_.balance(e);
-
-  std::vector<FoWorker> ws(n);
-  for (std::size_t wid = 0; wid < n; ++wid) {
-    FoWorker& w = ws[wid];
-    w.inbox = std::make_unique<BoundedQueue<std::vector<FoTask>>>(4);
-    w.router = make_router(scheme_, *workload_, opts_, seed_);
-    w.mirror = std::make_unique<NetworkState>(g);
-    w.mirror->assign_balances(snap);
-    w.mirror->enable_change_log(/*with_pre_images=*/true);
-    w.slot.assign(g.num_edges(), 0);
-  }
-
-  // Sorted-stripe commit: revalidate the settlement delta against the
-  // live truth under every stripe lock it touches (ascending stripe order
-  // across all workers => no deadlock), then apply it and refresh the
-  // mirror's view of those edges. Channel totals are conserved because the
-  // delta came from a conserving hold/commit/abort cycle on the mirror.
-  auto try_commit = [&](FoWorker& w) -> bool {
-    auto& st = w.stripe_ids;
-    st.clear();
-    for (const EdgeId e : w.wedges) st.push_back(g.channel_of(e) % stripes_n);
-    std::sort(st.begin(), st.end());
-    st.erase(std::unique(st.begin(), st.end()), st.end());
-    for (const std::size_t s : st) stripe_locks[s].lock();
-    bool ok = true;
-    w.wnew.resize(w.wedges.size());
-    for (std::size_t j = 0; j < w.wedges.size(); ++j) {
-      const Amount t = truth_.balance_relaxed(w.wedges[j]);
-      const Amount nv = t + (w.wpost[j] - w.wpre[j]);
-      if (nv < -1e-6) {
-        ok = false;
-        break;
-      }
-      w.wnew[j] = nv < 0 ? 0 : nv;
-    }
-    if (ok) {
-      for (std::size_t j = 0; j < w.wedges.size(); ++j) {
-        truth_.store_balance_relaxed(w.wedges[j], w.wnew[j]);
-        w.mirror->mirror_balance(w.wedges[j], w.wnew[j]);
-      }
-    }
-    for (std::size_t k = st.size(); k-- > 0;) stripe_locks[st[k]].unlock();
-    return ok;
-  };
-
-  auto worker_fn = [&](std::size_t wid) {
-    FoWorker& w = ws[wid];
-    NetworkState& m = *w.mirror;
-    try {
-      while (auto batch = w.inbox->pop()) {
-        for (const FoTask& task : *batch) {
-          const auto t0 = std::chrono::steady_clock::now();
-          // A single worker's mirror never drifts (no foreign commits:
-          // every committed post-value is mirrored back verbatim), so the
-          // periodic full refresh is pure O(edges) waste at n == 1.
-          if (n > 1 && ++w.since_resync >= resync_stride) {
-            for (EdgeId e = 0; e < g.num_edges(); ++e) {
-              m.mirror_balance(e, truth_.balance_relaxed(e));
-            }
-            w.since_resync = 0;
-          }
-          RouteResult r;
-          std::uint64_t probe_acc = 0;
-          std::uint32_t probes_acc = 0;
-          bool committed = false;
-          for (std::size_t att = 0;; ++att) {
-            w.router->begin_payment(payment_rng_seed(task.index, 0));
-            m.clear_change_log();
-            r = w.router->route(task.tx, m);
-            if (m.active_holds() != 0) {
-              throw std::logic_error("scenario: router " +
-                                     w.router->name() +
-                                     " leaked holds (free-order)");
-            }
-            probe_acc += r.probe_messages;
-            probes_acc += r.probes;
-            // First-touch pre / final post per touched edge, no-ops out.
-            w.wedges.clear();
-            w.wpre.clear();
-            w.wpost.clear();
-            const auto cl = m.change_log();
-            const auto pre = m.change_log_pre();
-            for (std::size_t i = 0; i < cl.size(); ++i) {
-              const EdgeId e = cl[i];
-              if (w.slot[e] == 0) {
-                w.wedges.push_back(e);
-                w.wpre.push_back(pre[i]);
-                w.slot[e] = static_cast<std::uint32_t>(w.wedges.size());
-              }
-            }
-            std::size_t out = 0;
-            for (std::size_t j = 0; j < w.wedges.size(); ++j) {
-              const EdgeId e = w.wedges[j];
-              w.slot[e] = 0;
-              const Amount post = m.balance(e);
-              if (post != w.wpre[j]) {
-                w.wedges[out] = e;
-                w.wpre[out] = w.wpre[j];
-                w.wpost.push_back(post);
-                ++out;
-              }
-            }
-            w.wedges.resize(out);
-            w.wpre.resize(out);
-            if (!r.success) {
-              // Routing failed on the mirror: restore it exactly (no
-              // settlement to commit) and report the failure.
-              for (std::size_t j = out; j-- > 0;) {
-                m.mirror_balance(w.wedges[j], w.wpre[j]);
-              }
-              break;
-            }
-            if (try_commit(w)) {
-              committed = true;
-              break;
-            }
-            ++w.conflicts;
-            // The truth moved under us: roll the mirror back, refresh the
-            // contested edges from the live truth, and re-route.
-            for (std::size_t j = out; j-- > 0;) {
-              m.mirror_balance(w.wedges[j], w.wpre[j]);
-            }
-            for (std::size_t j = 0; j < out; ++j) {
-              m.mirror_balance(w.wedges[j],
-                               truth_.balance_relaxed(w.wedges[j]));
-            }
-            if (att >= conflict_retries) break;
-          }
-          if (r.success && !committed) {
-            r.success = false;
-            r.delivered = 0;
-            r.fee = 0;
-            r.paths_used = 0;
-          }
-          r.probe_messages = probe_acc;
-          r.probes = probes_acc;
-          w.sim.add(task.tx, r, task.tx.amount < class_threshold_);
-          fold64(w.digest, task.tx.sender);
-          fold64(w.digest, task.tx.receiver);
-          fold64(w.digest, std::bit_cast<std::uint64_t>(task.tx.amount));
-          fold64(w.digest, r.success ? 1 : 0);
-          fold64(w.digest, std::bit_cast<std::uint64_t>(r.delivered));
-          fold64(w.digest, std::bit_cast<std::uint64_t>(r.fee));
-          fold64(w.digest, r.probe_messages);
-          fold64(w.digest, r.probes);
-          fold64(w.digest, r.paths_used);
-          fold64(w.digest, 0);  // attempt: free-order never retries
-          fold64(w.digest, std::bit_cast<std::uint64_t>(task.tx.timestamp));
-          const double lat = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-          w.lat.add(lat);
-          w.lat_sum += lat;
-          w.lat_max = std::max(w.lat_max, lat);
-          w.max_time = std::max(w.max_time, task.tx.timestamp);
-        }
-      }
-    } catch (...) {
-      w.error = std::current_exception();
-      // Unblock the dispatcher: its pushes to this inbox now fail fast.
-      w.inbox->close();
-    }
-  };
-
-  ThreadPool pool(n);
-  for (std::size_t wid = 0; wid < n; ++wid) {
-    pool.submit([&worker_fn, wid] { worker_fn(wid); });
-  }
-
-  // Dispatch: sender-sharded batches, in stream order per worker (which
-  // is what makes workers == 1 bit-deterministic for a fixed seed).
-  {
-    std::vector<std::vector<FoTask>> buf(n);
-    const std::size_t total = stream_->size();
-    Transaction tx;
-    for (std::size_t i = 0; i < total && stream_->next(tx); ++i) {
-      const std::size_t wid = tx.sender % n;
-      buf[wid].push_back({i, tx});
-      if (buf[wid].size() >= batch_sz) {
-        ws[wid].inbox->push(std::move(buf[wid]));
-        buf[wid] = {};
-      }
-    }
-    for (std::size_t wid = 0; wid < n; ++wid) {
-      if (!buf[wid].empty()) ws[wid].inbox->push(std::move(buf[wid]));
-      ws[wid].inbox->close();
-    }
-  }
-  pool.wait_idle();
-
-  for (std::size_t wid = 0; wid < n; ++wid) {
-    if (ws[wid].error) std::rethrow_exception(ws[wid].error);
-  }
-
-  // Merge in worker order (deterministic given deterministic workers).
-  for (std::size_t wid = 0; wid < n; ++wid) {
-    const FoWorker& w = ws[wid];
-    SimResult& s = result_.sim;
-    s.transactions += w.sim.transactions;
-    s.successes += w.sim.successes;
-    s.volume_attempted += w.sim.volume_attempted;
-    s.volume_succeeded += w.sim.volume_succeeded;
-    s.fees_paid += w.sim.fees_paid;
-    s.probe_messages += w.sim.probe_messages;
-    s.probes += w.sim.probes;
-    s.mice_transactions += w.sim.mice_transactions;
-    s.mice_successes += w.sim.mice_successes;
-    s.mice_volume_succeeded += w.sim.mice_volume_succeeded;
-    s.mice_probe_messages += w.sim.mice_probe_messages;
-    s.elephant_transactions += w.sim.elephant_transactions;
-    s.elephant_successes += w.sim.elephant_successes;
-    s.elephant_volume_succeeded += w.sim.elephant_volume_succeeded;
-    s.elephant_probe_messages += w.sim.elephant_probe_messages;
-    fold64(result_.payment_digest, w.digest);
-    result_.commit_conflicts += w.conflicts;
-    latency_hist_.merge(w.lat);
-    latency_sum_ += w.lat_sum;
-    latency_max_ = std::max(latency_max_, w.lat_max);
-    result_.duration = std::max(result_.duration, w.max_time);
-  }
-
-  // Conservation sweep, parallelized with the chunked claim mode: the
-  // per-channel checks are tiny, so claiming 1024 at a time keeps the
-  // atomic counter off the critical path. Mirrors check_invariants'
-  // tolerances exactly.
-  parallel_for_chunked(pool, g.num_channels(), 1024, [&](std::size_t c) {
-    const EdgeId fe = g.channel_forward_edge(c);
-    const EdgeId be = g.reverse(fe);
-    const Amount fwd = truth_.balance(fe);
-    const Amount bwd = truth_.balance(be);
-    const Amount dep = truth_.channel_deposit(fe);
-    const Amount tolerance = 1e-4 * std::max<Amount>(1, std::abs(dep));
-    if (std::abs(fwd + bwd - dep) > tolerance || fwd < -1e-6 ||
-        bwd < -1e-6) {
-      throw std::logic_error(
-          "free-order conservation violated at channel " +
-          std::to_string(c) + " (scheme " + scheme_name(scheme_) + ")");
-    }
-  });
-  if (truth_.active_holds() != 0) {
-    throw std::logic_error("free-order left holds in flight");
-  }
-
-  // Seal the digest with the final ledger, like the sequential engine.
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    fold64(result_.payment_digest,
-           std::bit_cast<std::uint64_t>(truth_.balance(e)));
-  }
-  finalize_latency();
-  return result_;
 }
 
 }  // namespace flash

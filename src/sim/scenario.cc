@@ -64,6 +64,10 @@ inline void fold64(std::uint64_t& h, std::uint64_t v) noexcept {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
 
+/// BFS pivots sampled for the hub outage's approximate betweenness ranking
+/// (graph/topology.h approx_betweenness).
+constexpr std::size_t kHubBetweennessSamples = 32;
+
 // Every rejection names the offending field AND the remedy: what to set
 // (or unset) to get a valid config. tests/htlc_lifecycle_test.cc asserts
 // both halves of every message.
@@ -96,24 +100,6 @@ void validate(const ScenarioConfig& cfg) {
         "scenario: gossip.hop_delay must be >= 0 - set 0 for instant "
         "propagation");
   }
-  if (cfg.concurrency.stripes == 0) {
-    throw std::invalid_argument(
-        "scenario: concurrency.stripes must be >= 1 - leave the default 64 "
-        "unless tuning lock contention");
-  }
-  if (cfg.concurrency.execution == ScenarioExecution::kFreeOrder &&
-      (cfg.retry.max_retries > 0 || cfg.churn.close_rate > 0 ||
-       cfg.rebalance.interval > 0 || cfg.fault.active())) {
-    // Free-order has no event loop: retries, churn, rebalancing, and fault
-    // injection have no defined interleaving against out-of-order
-    // settlement.
-    throw std::invalid_argument(
-        "scenario: free-order execution has no event loop, so retries, "
-        "churn, rebalancing and fault injection have no defined "
-        "interleaving - set retry.max_retries = 0, churn.close_rate = 0, "
-        "rebalance.interval = 0 and leave fault inactive, or use "
-        "kSequential/kReplay execution");
-  }
   if (cfg.htlc.hop_latency < 0 || cfg.htlc.timelock_delta < 0 ||
       cfg.htlc.timelock_budget < 0 || cfg.htlc.holder_delay < 0) {
     throw std::invalid_argument(
@@ -134,8 +120,8 @@ void validate(const ScenarioConfig& cfg) {
   }
   if (cfg.htlc.active() &&
       cfg.concurrency.execution != ScenarioExecution::kSequential) {
-    // The concurrent engines' determinism arguments assume settlement
-    // happens inside the route step, never between events.
+    // Replay's determinism argument assumes settlement happens inside the
+    // route step, never between events.
     throw std::invalid_argument(
         "scenario: the HTLC lifecycle requires sequential execution - set "
         "concurrency.execution = kSequential");
@@ -298,8 +284,8 @@ ScenarioEngine::ScenarioEngine(const Workload& workload, Scheme scheme,
   if (cfg_.fault.hub_count > 0) {
     // Coordinated hub outage targets: the top-k nodes by approximate
     // betweenness centrality (the paper's hubs carry most relay traffic).
-    const std::vector<double> bc = approx_betweenness(
-        g, cfg_.fault.hub_betweenness_samples, splitmix64(fmix));
+    const std::vector<double> bc =
+        approx_betweenness(g, kHubBetweennessSamples, splitmix64(fmix));
     std::vector<NodeId> order(g.num_nodes());
     for (std::size_t n = 0; n < g.num_nodes(); ++n) {
       order[n] = static_cast<NodeId>(n);
@@ -347,9 +333,6 @@ ScenarioResult ScenarioEngine::run() {
   if (ran_) throw std::logic_error("ScenarioEngine: run() is single-use");
   ran_ = true;
 
-  if (cfg_.concurrency.execution == ScenarioExecution::kFreeOrder) {
-    return run_free_order();
-  }
   if (cfg_.concurrency.execution == ScenarioExecution::kReplay) {
     begin_replay();
   } else {
@@ -463,6 +446,12 @@ ScenarioResult ScenarioEngine::run() {
     throw std::logic_error("ledger invariant violated at end (channel " +
                            std::to_string(bad) + ", scheme " +
                            scheme_name(scheme_) + ")");
+  }
+  // check_invariants counts held funds as deposit; every payment has
+  // settled or failed by now, so any live hold leaked.
+  if (truth_.active_holds() != 0) {
+    throw std::logic_error("scheme " + scheme_name(scheme_) +
+                           " leaked holds at end");
   }
   result_.gossip_messages = gossip_.total_messages();
   result_.router_cache_hits = contexts_.hits();
@@ -981,15 +970,13 @@ void ScenarioEngine::begin_part(std::size_t tx_index, const Transaction& tx,
   if (!p.flow) {
     const std::size_t n = p.path.size();
     p.hop_count = n;
-    if (h.fee_escrow) {
-      // Hop k fronts every downstream hop's fee on top of its amount,
-      // like Lightning's onion amounts.
-      const FeeSchedule& fees = workload_->fees();
-      Amount downstream = 0;
-      for (std::size_t k = n; k-- > 0;) {
-        p.lock_amount[k] += downstream;
-        downstream += fees.edge_fee(p.path[k], amounts[k]);
-      }
+    // Hop k fronts every downstream hop's fee on top of its amount, like
+    // Lightning's onion amounts.
+    const FeeSchedule& fees = workload_->fees();
+    Amount downstream = 0;
+    for (std::size_t k = n; k-- > 0;) {
+      p.lock_amount[k] += downstream;
+      downstream += fees.edge_fee(p.path[k], amounts[k]);
     }
     locked = truth_.extend_hold(p.hold, p.path[0], p.lock_amount[0]);
     if (locked) {

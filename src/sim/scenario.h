@@ -113,8 +113,9 @@ struct GossipTiming {
 /// per-hop HTLCs that lock forward hop by hop (one latency draw per edge),
 /// settle by unwinding backward from the receiver, and unwind forward
 /// hops on failure — so funds are locked for the full round trip and
-/// LATER payments route against the reduced available balances. Plain
-/// value type.
+/// LATER payments route against the reduced available balances. Each hop
+/// locks its amount plus every downstream hop's fee, like Lightning's
+/// onion amounts. Plain value type.
 struct HtlcConfig {
   /// Mean one-hop forward/backward propagation delay in sim-time units
   /// (per-edge delays are drawn once, uniform in [0.5, 1.5] x this).
@@ -143,10 +144,6 @@ struct HtlcConfig {
   /// receiver fails the payment in flight (discovered at forward time,
   /// not route time — routers do not know liveness).
   double offline_fraction = 0;
-  /// Lock each hop's escrow with downstream fees included (hop k locks
-  /// amount + sum of fees of hops k+1..n-1), like Lightning. Off = lock
-  /// the bare amount at every hop.
-  bool fee_escrow = true;
   /// Seed of the HTLC randomness stream (edge latencies, holder/offline
   /// draws), mixed with the run seed.
   std::uint64_t seed = 0x417cu;
@@ -173,8 +170,8 @@ struct ChannelFault {
 /// families compose freely (each is off by default):
 ///
 ///   - *Coordinated hub outage*: the top `hub_count` nodes by approximate
-///     betweenness centrality go offline (fail payments in flight, like
-///     HtlcConfig::offline_fraction victims) for
+///     betweenness centrality (32 BFS pivots) go offline (fail payments
+///     in flight, like HtlcConfig::offline_fraction victims) for
 ///     [hub_outage_start, hub_outage_start + hub_outage_duration).
 ///   - *Regional close burst*: at `burst_time`, a BFS ball of up to
 ///     `burst_channels` open channels around a seeded center closes at
@@ -193,9 +190,6 @@ struct FaultPlan {
   std::size_t hub_count = 0;
   double hub_outage_start = 0;
   double hub_outage_duration = 0;
-  /// BFS-pivot sample count for the approximate betweenness ranking
-  /// (graph/topology.h approx_betweenness); 0 = exact (all pivots).
-  std::size_t hub_betweenness_samples = 32;
 
   /// Channels to close in the regional burst (0 disables).
   std::size_t burst_channels = 0;
@@ -259,28 +253,14 @@ enum class ScenarioExecution : std::uint8_t {
   /// otherwise. Bit-identical (payment digest and all semantic counters)
   /// to kSequential with payment_indexed_rng on, at ANY worker count.
   kReplay,
-  /// Maximum-throughput mode: workers commit settlements in completion
-  /// order directly to the shared truth under striped channel locks
-  /// (sorted stripe acquisition — deadlock-free). Only conservation
-  /// invariants are guaranteed; results are deterministic only at
-  /// workers == 1. Requires a zero-dynamics, zero-retry config.
-  kFreeOrder,
 };
 
 /// Concurrent-engine knobs (used when execution != kSequential).
 struct ConcurrencyConfig {
   ScenarioExecution execution = ScenarioExecution::kSequential;
-  /// Worker threads; 0 = one per hardware thread.
+  /// Worker threads; 0 = one per hardware thread. The replay speculation
+  /// window is 8 payments per worker.
   std::size_t workers = 0;
-  /// Replay speculation window (payments routed ahead of settlement) and
-  /// free-order dispatch batch. 0 = 8 x workers.
-  std::size_t batch = 0;
-  /// Free-order commit lock stripes (stripe = channel id mod stripes).
-  std::size_t stripes = 64;
-  /// Free-order re-route budget after a commit loses its revalidation.
-  std::size_t conflict_retries = 8;
-  /// Free-order mirror full-refresh period, in payments per worker.
-  std::size_t resync_stride = 256;
 };
 
 /// Everything dynamic about a scenario. The default-constructed config has
@@ -293,8 +273,8 @@ struct ScenarioConfig {
   /// Time-extended HTLC lifecycle. Composes with churn, gossip staleness,
   /// and rebalancing (in-flight parts crossing a closed channel resolve
   /// on-chain and fail backward from the break point; rebalance sweeps
-  /// skip escrowed channels). Still incompatible with the concurrent
-  /// execution modes (validated): those assume instant settlement.
+  /// skip escrowed channels). Still incompatible with kReplay execution
+  /// (validated): it assumes instant settlement.
   HtlcConfig htlc;
   /// Deterministic adversarial fault injection (hub outages, close
   /// bursts, congestion ramps). Inactive by default.
@@ -303,11 +283,11 @@ struct ScenarioConfig {
   ConcurrencyConfig concurrency;
   /// Pin each route attempt's randomness to the payment's logical stream
   /// index (Router::begin_payment) instead of the router's running rng
-  /// stream. Forced on by both concurrent modes (their determinism
-  /// argument needs route outcomes independent of which payments a router
-  /// instance served before); off by default so sequential results stay
-  /// bit-identical to the pinned historical streams. A sequential run with
-  /// this on is the replay mode's equality oracle.
+  /// stream. Forced on by kReplay (its determinism argument needs route
+  /// outcomes independent of which payments a router instance served
+  /// before); off by default so sequential results stay bit-identical to
+  /// the pinned historical streams. A sequential run with this on is the
+  /// replay mode's equality oracle.
   bool payment_indexed_rng = false;
   /// Cap on live per-sender stale-view routers (LRU-evicted beyond; see
   /// sim/sender_cache.h). 0 = unbounded — one router per sender forever,
@@ -418,14 +398,13 @@ struct ScenarioResult {
   /// success (0 when no post-window payment succeeded).
   double fault_recovery_time = 0;
 
-  // --- Concurrent-engine diagnostics (all zero for sequential runs;
-  // EXCLUDED from payment_digest and from the replay-vs-sequential
-  // equality contract — wall-clock latency and scheduling luck are not
-  // semantic). ---
+  // --- Wall-clock and concurrent-engine diagnostics (EXCLUDED from
+  // payment_digest and from the replay-vs-sequential equality contract —
+  // wall-clock latency and scheduling luck are not semantic). ---
 
   /// Wall-clock per-payment service latency (first route start to final
   /// settlement), summarized from a log-binned histogram
-  /// (util/histogram.h).
+  /// (util/histogram.h). Recorded by every execution mode.
   struct LatencySummary {
     std::uint64_t count = 0;
     double mean_seconds = 0;
@@ -444,11 +423,9 @@ struct ScenarioResult {
   /// Worker threads the run actually used (1 for sequential).
   std::size_t workers_used = 1;
   /// Replay: speculative routes settled as-is / re-routed inline because a
-  /// balance they read changed before their turn.
+  /// balance they read changed before their turn (zero for sequential).
   std::uint64_t spec_accepted = 0;
   std::uint64_t spec_rerouted = 0;
-  /// Free-order: commits that lost their striped-lock revalidation.
-  std::uint64_t commit_conflicts = 0;
 };
 
 /// The event-driven scenario simulator. Single-use: construct, run() once,
@@ -745,9 +722,6 @@ class ScenarioEngine {
   /// Read-ahead entries from this stream index on are still needed by
   /// replay dispatch (no limit once dispatch is over).
   std::size_t replay_dispatch_end() const;
-  /// The free-order engine: no event loop, workers commit under striped
-  /// locks. Requires zero dynamics and zero retries (validated).
-  ScenarioResult run_free_order();
   /// Per-(payment index, attempt) rng seed for Router::begin_payment.
   std::uint64_t payment_rng_seed(std::size_t tx_index,
                                  std::size_t attempt) const;

@@ -53,6 +53,11 @@ SimResult run_simulation(const Workload& workload, WorkloadStream& stream,
                            std::to_string(bad) + ", router " + router.name() +
                            ")");
   }
+  // check_invariants counts held funds as deposit, so a hold leaked after
+  // the last strided check would otherwise pass.
+  if (state.active_holds() != 0) {
+    throw std::logic_error("router " + router.name() + " leaked holds at end");
+  }
   return result;
 }
 

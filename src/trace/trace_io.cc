@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +22,15 @@ void write_trace(std::ostream& os, const std::vector<Transaction>& txs) {
   }
 }
 
+namespace {
+
+[[noreturn]] void trace_fail(std::size_t lineno, const std::string& what) {
+  throw std::runtime_error("trace line " + std::to_string(lineno) + ": " +
+                           what);
+}
+
+}  // namespace
+
 std::vector<Transaction> read_trace(std::istream& is) {
   std::vector<Transaction> txs;
   std::string line;
@@ -31,27 +41,29 @@ std::vector<Transaction> read_trace(std::istream& is) {
     if (sv.empty() || sv.front() == '#') continue;
     const auto fields = parse_csv_line(sv);
     if (fields.size() < 3) {
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": expected sender,receiver,amount[,ts]");
+      trace_fail(lineno, "expected sender,receiver,amount[,ts]");
     }
     const auto s = parse_uint(fields[0]);
     const auto r = parse_uint(fields[1]);
     const auto a = parse_double(fields[2]);
     if (!s || !r || !a) {
       if (lineno == 1) continue;  // tolerate a header row
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": parse error");
+      trace_fail(lineno, "parse error");
     }
+    // Ids past kInvalidNode - 1 would wrap in the NodeId narrowing below.
+    if (*s > kInvalidNode - 1 || *r > kInvalidNode - 1) {
+      trace_fail(lineno, "node id out of range");
+    }
+    if (!std::isfinite(*a)) trace_fail(lineno, "amount is not finite");
+    if (*a < 0) trace_fail(lineno, "amount is negative");
     Transaction tx;
     tx.sender = static_cast<NodeId>(*s);
     tx.receiver = static_cast<NodeId>(*r);
     tx.amount = *a;
     if (fields.size() >= 4) {
       const auto ts = parse_double(fields[3]);
-      if (!ts) {
-        throw std::runtime_error("trace line " + std::to_string(lineno) +
-                                 ": bad timestamp");
-      }
+      if (!ts) trace_fail(lineno, "bad timestamp");
+      if (!std::isfinite(*ts)) trace_fail(lineno, "timestamp is not finite");
       tx.timestamp = *ts;
     } else {
       tx.timestamp = static_cast<double>(txs.size());

@@ -16,7 +16,9 @@ namespace flash {
 
 void write_trace(std::ostream& os, const std::vector<Transaction>& txs);
 
-/// Throws std::runtime_error on malformed lines.
+/// Throws std::runtime_error naming the offending line on malformed input,
+/// node ids above kInvalidNode - 1, negative or non-finite amounts, and
+/// non-finite timestamps.
 std::vector<Transaction> read_trace(std::istream& is);
 
 void save_trace(const std::string& path, const std::vector<Transaction>& txs);

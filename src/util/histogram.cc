@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace flash {
 
@@ -74,20 +73,6 @@ double LogHistogram::percentile(double q) const {
     acc = next;
   }
   return std::pow(10.0, log_hi_);  // remaining mass is overflow
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (log_lo_ != other.log_lo_ || log_hi_ != other.log_hi_ ||
-      bins_per_decade_ != other.bins_per_decade_ ||
-      counts_.size() != other.counts_.size()) {
-    throw std::invalid_argument("LogHistogram::merge: binning mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
 }
 
 std::string LogHistogram::render(std::size_t width) const {

@@ -69,14 +69,4 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
-/// Chunked claim mode: workers claim `grain` consecutive indices per
-/// fetch_add instead of one, cutting atomic traffic by `grain`x on
-/// fine-grained loops (e.g. per-channel invariant scans). Within a chunk,
-/// fn runs on ascending indices on one thread; chunk-to-thread mapping is
-/// still unspecified, so fn must stay independent across indices. grain=1
-/// is exactly the single-index overload (the default everywhere else —
-/// existing users keep their pinned work distribution).
-void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t grain,
-                          const std::function<void(std::size_t)>& fn);
-
 }  // namespace flash

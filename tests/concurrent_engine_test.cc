@@ -5,11 +5,8 @@
 // sequential engine with payment_indexed_rng on (its equality oracle).
 // The suite fuzzes that claim across all four schemes, churn on/off,
 // sender-router cache bounds, and worker counts {1, 2, 8}, plus a
-// rebalance-drift case. Free-order promises less (conservation and
-// workers==1 determinism) and is tested to exactly that.
+// rebalance-drift case.
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "sim/scenario.h"
 #include "testutil.h"
@@ -147,72 +144,6 @@ TEST(ConcurrentSequential, LatencyAlsoRecordedInSequentialMode) {
   EXPECT_EQ(got.workers_used, 1u);
   EXPECT_EQ(got.spec_accepted, 0u);
   EXPECT_EQ(got.spec_rerouted, 0u);
-}
-
-TEST(ConcurrentFreeOrder, ConservesChannelTotalsAllSchemes) {
-  const Workload w = make_toy_workload(30, 250, 3);
-  for (const Scheme scheme : all_schemes()) {
-    for (const std::size_t workers : {1u, 2u, 8u}) {
-      ScenarioConfig cfg =
-          with_execution({}, ScenarioExecution::kFreeOrder, workers);
-      cfg.concurrency.stripes = 16;
-      // run_free_order throws on any conservation violation or leaked
-      // hold, so completing IS the invariant check; sanity-check totals.
-      const ScenarioResult got = run_scenario(w, scheme, {}, {}, cfg, 7);
-      EXPECT_EQ(got.sim.transactions, 250u);
-      EXPECT_GT(got.sim.successes, 0u);
-      EXPECT_EQ(got.workers_used, workers);
-    }
-  }
-}
-
-TEST(ConcurrentFreeOrder, SingleWorkerIsDeterministic) {
-  const Workload w = make_toy_workload(30, 250, 3);
-  const ScenarioConfig cfg =
-      with_execution({}, ScenarioExecution::kFreeOrder, 1);
-  const ScenarioResult a = run_scenario(w, Scheme::kFlash, {}, {}, cfg, 7);
-  const ScenarioResult b = run_scenario(w, Scheme::kFlash, {}, {}, cfg, 7);
-  expect_identical(a.sim, b.sim);
-  EXPECT_EQ(a.payment_digest, b.payment_digest);
-}
-
-TEST(ConcurrentFreeOrder, SingleWorkerMatchesSequentialSuccessesClosely) {
-  // Not an exact-equality contract (commit-time revalidation can clamp),
-  // but a 1-worker free-order run routes the same sender-ordered stream
-  // with the same pinned rng, so its success count should be in the same
-  // ballpark as the oracle's.
-  const Workload w = make_toy_workload(30, 250, 3);
-  const ScenarioResult oracle = run_oracle(w, Scheme::kShortestPath, {}, 7);
-  const ScenarioResult got = run_scenario(
-      w, Scheme::kShortestPath, {}, {},
-      with_execution({}, ScenarioExecution::kFreeOrder, 1), 7);
-  EXPECT_EQ(got.sim.transactions, oracle.sim.transactions);
-  const double lo = 0.8 * static_cast<double>(oracle.sim.successes);
-  const double hi = 1.2 * static_cast<double>(oracle.sim.successes) + 5;
-  EXPECT_GE(static_cast<double>(got.sim.successes), lo);
-  EXPECT_LE(static_cast<double>(got.sim.successes), hi);
-}
-
-TEST(ConcurrentFreeOrder, RejectsDynamicConfigs) {
-  const Workload w = make_toy_workload(10, 20, 1);
-  ScenarioConfig churny = with_execution({}, ScenarioExecution::kFreeOrder, 2);
-  churny.churn.close_rate = 0.1;
-  EXPECT_THROW(run_scenario(w, Scheme::kFlash, {}, {}, churny, 1),
-               std::invalid_argument);
-  ScenarioConfig retrying =
-      with_execution({}, ScenarioExecution::kFreeOrder, 2);
-  retrying.retry.max_retries = 1;
-  EXPECT_THROW(run_scenario(w, Scheme::kFlash, {}, {}, retrying, 1),
-               std::invalid_argument);
-  ScenarioConfig rebal = with_execution({}, ScenarioExecution::kFreeOrder, 2);
-  rebal.rebalance.interval = 10;
-  EXPECT_THROW(run_scenario(w, Scheme::kFlash, {}, {}, rebal, 1),
-               std::invalid_argument);
-  ScenarioConfig nostripes =
-      with_execution({}, ScenarioExecution::kFreeOrder, 2);
-  nostripes.concurrency.stripes = 0;
-  EXPECT_THROW(run_scenario(w, Scheme::kFlash, {}, {}, nostripes, 1),
-               std::invalid_argument);
 }
 
 TEST(ConcurrentSequential, PaymentIndexedRngIsDeterministic) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "graph/graph_io.h"
 #include "graph/topology.h"
@@ -40,6 +41,22 @@ TEST(EdgeListFile, SaveLoadRoundTrip) {
 TEST(EdgeListFile, MissingFileThrows) {
   EXPECT_THROW(load_edge_list(testing::TempDir() + "/no_such_file.csv"),
                std::runtime_error);
+}
+
+TEST(EdgeList, OutOfRangeNodeIdThrowsWithLineNumber) {
+  // 2^32 and 2^33 + 1 used to wrap to nodes 0 and 1. (Not kInvalidNode
+  // itself: if the check broke, that id would size a 2^32-node graph.)
+  for (const char* body : {"0,1\n4294967296,1\n", "0,1\n2,8589934593\n"}) {
+    std::istringstream is(body);
+    try {
+      read_edge_list(is);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("edge list line 2: bad node id"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Snapshot, StreamRoundTripIsExact) {

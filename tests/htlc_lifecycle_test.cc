@@ -303,26 +303,6 @@ TEST(HtlcLifecycle, ValidationMessagesNameFieldAndRemedy) {
   }
   {
     ScenarioConfig c;
-    c.concurrency.stripes = 0;
-    expect_rejects(c, "concurrency.stripes", "default 64");
-  }
-  {
-    ScenarioConfig c;
-    c.concurrency.execution = ScenarioExecution::kFreeOrder;
-    c.retry.max_retries = 1;
-    expect_rejects(c, "free-order", "kSequential/kReplay execution");
-  }
-  {
-    // Fault injection needs the event loop too.
-    ScenarioConfig c;
-    c.concurrency.execution = ScenarioExecution::kFreeOrder;
-    c.htlc.hop_latency = 1.0;
-    c.fault.burst_channels = 1;
-    c.fault.burst_time = 1.0;
-    expect_rejects(c, "free-order", "leave fault inactive");
-  }
-  {
-    ScenarioConfig c;
     c.htlc.hop_latency = -1;
     expect_rejects(c, "htlc.hop_latency", "set 0 to disable each");
   }
@@ -342,13 +322,6 @@ TEST(HtlcLifecycle, ValidationMessagesNameFieldAndRemedy) {
     ScenarioConfig c;
     c.htlc.hop_latency = 1.0;
     c.concurrency.execution = ScenarioExecution::kReplay;
-    expect_rejects(c, "sequential execution",
-                   "concurrency.execution = kSequential");
-  }
-  {
-    ScenarioConfig c;
-    c.htlc.hop_latency = 1.0;
-    c.concurrency.execution = ScenarioExecution::kFreeOrder;
     expect_rejects(c, "sequential execution",
                    "concurrency.execution = kSequential");
   }

@@ -1,12 +1,41 @@
 // Tests for the simulation engine and the experiment harness.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "routing/router.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "trace/workload.h"
 
 namespace flash {
 namespace {
+
+// Routes through `inner`, then on its `payments`-th call locks one unit on
+// the first funded edge and never releases it.
+class LeakOnLastPayment final : public Router {
+ public:
+  LeakOnLastPayment(std::unique_ptr<Router> inner, std::size_t payments)
+      : inner_(std::move(inner)), left_(payments) {}
+
+  RouteResult route(const Transaction& tx, NetworkState& state) override {
+    const RouteResult r = inner_->route(tx, state);
+    if (--left_ == 0) {
+      EdgeId e = 0;
+      while (state.balance(e) < 1) ++e;
+      EXPECT_TRUE(state.extend_hold(state.open_hold(), e, 1));
+    }
+    return r;
+  }
+  std::string name() const override { return "leak-on-last"; }
+
+ private:
+  std::unique_ptr<Router> inner_;
+  std::size_t left_;
+};
 
 TEST(Simulator, CountsEveryTransaction) {
   const Workload w = make_toy_workload(30, 200, 1);
@@ -16,6 +45,21 @@ TEST(Simulator, CountsEveryTransaction) {
   EXPECT_EQ(r.mice_transactions + r.elephant_transactions, 200u);
   EXPECT_LE(r.successes, r.transactions);
   EXPECT_LE(r.volume_succeeded, r.volume_attempted + 1e-9);
+}
+
+TEST(Simulator, HoldLeakedAfterLastStrideThrows) {
+  // 300 payments at the default stride of 256: the leak lands after the
+  // last strided check, so only the end-of-run check can see it.
+  const Workload w = make_toy_workload(30, 300, 1);
+  LeakOnLastPayment router(make_router(Scheme::kShortestPath, w, {}, 1), 300);
+  try {
+    run_simulation(w, router);
+    ADD_FAILURE() << "leaked hold went unnoticed";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("leaked holds at end"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Simulator, ObserverSeesEachPayment) {

@@ -8,6 +8,8 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/bfs.h"
 #include "graph/topology.h"
@@ -207,6 +209,38 @@ TEST(TraceIo, ToleratesHeaderAndComments) {
 TEST(TraceIo, MalformedBodyThrows) {
   std::istringstream is("0,1,2.5\nbad,row,here\n");
   EXPECT_THROW(read_trace(is), std::runtime_error);
+}
+
+// Loading `body` must throw a runtime_error whose message names line 2 and
+// contains `what`.
+void expect_trace_rejects_line2(const std::string& body, const char* what) {
+  std::istringstream is("0,1,2.5\n" + body);
+  try {
+    read_trace(is);
+    ADD_FAILURE() << "accepted: " << body;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("trace line 2:"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(TraceIo, RejectsHostileValuesWithLineNumber) {
+  // 2^32 used to wrap to sender 0.
+  expect_trace_rejects_line2("4294967296,1,nan,inf\n", "node id out of range");
+  expect_trace_rejects_line2("0,4294967295,5\n", "node id out of range");
+  expect_trace_rejects_line2("0,1,nan\n", "amount is not finite");
+  expect_trace_rejects_line2("0,1,inf,3\n", "amount is not finite");
+  expect_trace_rejects_line2("0,1,-5\n", "amount is negative");
+  expect_trace_rejects_line2("0,1,5,inf\n", "timestamp is not finite");
+  expect_trace_rejects_line2("0,1,5,nan\n", "timestamp is not finite");
+}
+
+TEST(TraceIo, LargestNodeIdLoads) {
+  std::istringstream is("4294967294,0,1\n");
+  const auto txs = read_trace(is);
+  ASSERT_EQ(txs.size(), 1u);
+  EXPECT_EQ(txs[0].sender, kInvalidNode - 1);
 }
 
 // --- Workloads --------------------------------------------------------------------

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 
 #include "util/csv.h"
 #include "util/histogram.h"
@@ -162,27 +161,6 @@ TEST(LogHistogram, PercentileEdgeCases) {
   LogHistogram over(1.0, 100.0, 1);
   over.add(1e9);  // overflow only
   EXPECT_GE(over.percentile(0.5), 100.0);
-}
-
-TEST(LogHistogram, MergeAddsCountsBinwise) {
-  LogHistogram a(1.0, 1000.0, 1);
-  LogHistogram b(1.0, 1000.0, 1);
-  a.add(2.0);
-  a.add(0.5);    // underflow
-  b.add(200.0);
-  b.add(1e6);    // overflow
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.bin(0), 1u);
-  EXPECT_EQ(a.bin(2), 1u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-}
-
-TEST(LogHistogram, MergeRejectsMismatchedBinning) {
-  LogHistogram a(1.0, 1000.0, 1);
-  LogHistogram b(1.0, 1000.0, 2);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 // --- Strings -----------------------------------------------------------------

@@ -93,50 +93,5 @@ TEST(ParallelFor, ReusableAcrossCalls) {
   EXPECT_EQ(sum.load(), 5L * (99L * 100L / 2));
 }
 
-TEST(ParallelForChunked, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  // n deliberately not a multiple of the grain: the last chunk is ragged.
-  constexpr std::size_t n = 1003;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for_chunked(pool, n, 64,
-                       [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ParallelForChunked, GrainOneMatchesParallelFor) {
-  ThreadPool pool(3);
-  std::atomic<long> a{0};
-  std::atomic<long> b{0};
-  parallel_for(pool, 500,
-               [&](std::size_t i) { a.fetch_add(static_cast<long>(i)); });
-  parallel_for_chunked(pool, 500, 1, [&](std::size_t i) {
-    b.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(a.load(), b.load());
-}
-
-TEST(ParallelForChunked, GrainLargerThanRangeRunsEverything) {
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  parallel_for_chunked(pool, 10, 1000, [&](std::size_t i) {
-    sum.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ParallelForChunked, RethrowsFirstException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      parallel_for_chunked(pool, 256, 16,
-                           [&](std::size_t i) {
-                             if (i == 77) throw std::runtime_error("boom");
-                           }),
-      std::runtime_error);
-  // The pool must survive for reuse after the throw.
-  std::atomic<int> ran{0};
-  parallel_for_chunked(pool, 32, 8, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 32);
-}
-
 }  // namespace
 }  // namespace flash

@@ -14,7 +14,7 @@
 #   speedup is visible in the perf trajectory.
 # - FLASH_BENCH_THREADS caps the sweep-engine workers (default: all
 #   hardware threads).
-# - bench_concurrent (sequential vs replay vs free-order payment engine)
+# - bench_concurrent (sequential vs replay payment engine)
 #   and bench_scale run in their own sections; their per-cell JSON reports
 #   land in BENCH_micro.json under "concurrent" and "scale".
 # - fig15_htlc_sweep (time-extended HTLC lifecycle) rides the fig* loop;
@@ -101,10 +101,10 @@ for bin in "${BUILD_DIR}"/bench/fig* "${BUILD_DIR}"/bench/ablation_*; do
 done
 
 echo
-echo "== concurrent engine bench (sequential vs replay vs free-order) =="
+echo "== concurrent engine bench (sequential vs replay) =="
 # FLASH_BENCH_WORKERS (comma list, default "1,2,8") picks the thread counts
-# for the replay and free-order rows; the replay rows' digests must match
-# the sequential oracle's, and the bench exits non-zero if they don't.
+# for the replay rows; their digests must match the sequential oracle's,
+# and the bench exits non-zero if they don't.
 rm -f "${OUT_DIR}/bench_concurrent.json"
 if ! FLASH_BENCH_JSON="${OUT_DIR}/bench_concurrent.json" \
     with_rss bench_concurrent "${BUILD_DIR}/bench/bench_concurrent" \
