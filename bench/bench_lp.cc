@@ -5,15 +5,18 @@
 // BENCH_micro.json under "lp_core" by tools/run_benches.sh, next to the
 // graph-core numbers. Three layers are measured on the fig-scale
 // Ripple-like topology:
-//   - solve_lp at representative program-(1) shapes (k paths, one demand
-//     equality + ~3k capacity rows),
-//   - optimize_fee_split vs sequential_split on real probed path sets,
+//   - solve_lp_core at representative program-(1) shapes (k paths, one
+//     demand equality + ~3k capacity rows), emitted into its workspace on
+//     every iteration as optimize_fee_split_core does,
+//   - optimize_fee_split_core vs sequential_split_core on real probed
+//     path sets,
 //   - the combined elephant probe+split step (Algorithm 1 + program (1)),
 //     the per-payment quantity Fig. 9 sweeps pay thousands of times.
 // Set FLASH_BENCH_SMOKE (non-empty) to run every benchmark for exactly one
 // iteration — the CI smoke mode.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -72,6 +75,7 @@ const std::vector<ProbedInstance>& probed_instances() {
   static const std::vector<ProbedInstance> instances = [] {
     const Graph& g = ripple_graph();
     NetworkState s = make_loaded_state(g);
+    GraphScratch scratch;
     Rng rng(42);
     std::vector<ProbedInstance> out;
     while (out.size() < 32) {
@@ -79,7 +83,7 @@ const std::vector<ProbedInstance>& probed_instances() {
       const auto dst = static_cast<NodeId>(rng.next_below(g.num_nodes()));
       if (src == dst) continue;
       ProbedInstance inst;
-      inst.probe = elephant_find_paths(g, src, dst, 1e6, 20, s);
+      elephant_find_paths_into(g, src, dst, 1e6, 20, s, scratch, inst.probe);
       if (inst.probe.paths.size() < 2 || inst.probe.max_flow <= 0) continue;
       inst.demand = 0.9 * inst.probe.max_flow;
       out.push_back(std::move(inst));
@@ -93,26 +97,29 @@ void BM_LpCore_SolveLp(benchmark::State& state) {
   // Representative program (1): k paths, one equality + per-edge caps.
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(8);
-  LpProblem lp;
-  lp.objective.resize(k);
-  for (auto& c : lp.objective) c = rng.uniform(0.001, 0.1);
-  LpConstraint demand;
-  demand.coeffs.assign(k, 1.0);
-  demand.rel = Relation::kEq;
-  demand.rhs = 1.0;
-  lp.constraints.push_back(demand);
+  std::vector<double> objective(k);
+  for (auto& c : objective) c = rng.uniform(0.001, 0.1);
+  // Capacity rows: each path crosses a given edge with probability 0.3.
+  std::vector<std::vector<double>> cap_rows(3 * k, std::vector<double>(k));
+  std::vector<double> cap_rhs(3 * k);
   for (std::size_t i = 0; i < 3 * k; ++i) {
-    LpConstraint cap;
-    cap.coeffs.assign(k, 0.0);
     for (std::size_t j = 0; j < k; ++j) {
-      if (rng.chance(0.3)) cap.coeffs[j] = 1.0;
+      if (rng.chance(0.3)) cap_rows[i][j] = 1.0;
     }
-    cap.rel = Relation::kLessEq;
-    cap.rhs = rng.uniform(0.2, 2.0);
-    lp.constraints.push_back(std::move(cap));
+    cap_rhs[i] = rng.uniform(0.2, 2.0);
   }
+  LpWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_lp(lp));
+    ws.reset(k);
+    std::copy(objective.begin(), objective.end(), ws.objective.begin());
+    double* demand = ws.add_constraint(Relation::kEq, 1.0);
+    std::fill(demand, demand + k, 1.0);
+    for (std::size_t i = 0; i < cap_rows.size(); ++i) {
+      double* row = ws.add_constraint(Relation::kLessEq, cap_rhs[i]);
+      std::copy(cap_rows[i].begin(), cap_rows[i].end(), row);
+    }
+    solve_lp_core(ws);
+    benchmark::DoNotOptimize(ws.objective_value);
   }
 }
 BENCHMARK(BM_LpCore_SolveLp)->Arg(4)->Arg(20)->Arg(30)->Apply(apply_smoke);
@@ -121,11 +128,14 @@ void BM_LpCore_OptimizeFeeSplit(benchmark::State& state) {
   const Graph& g = ripple_graph();
   const FeeSchedule& fees = ripple_fees();
   const auto& instances = probed_instances();
+  SplitWorkspace ws;
+  SplitResult split;
   std::size_t i = 0;
   for (auto _ : state) {
     const ProbedInstance& inst = instances[i++ % instances.size()];
-    benchmark::DoNotOptimize(optimize_fee_split(
-        g, inst.probe.paths, inst.demand, inst.probe.capacities, fees));
+    optimize_fee_split_core(g, inst.probe.paths, inst.demand,
+                            inst.probe.capacities, fees, ws, split);
+    benchmark::DoNotOptimize(split.total_fee);
   }
 }
 BENCHMARK(BM_LpCore_OptimizeFeeSplit)->Apply(apply_smoke);
@@ -134,11 +144,14 @@ void BM_LpCore_SequentialSplit(benchmark::State& state) {
   const Graph& g = ripple_graph();
   const FeeSchedule& fees = ripple_fees();
   const auto& instances = probed_instances();
+  SplitWorkspace ws;
+  SplitResult split;
   std::size_t i = 0;
   for (auto _ : state) {
     const ProbedInstance& inst = instances[i++ % instances.size()];
-    benchmark::DoNotOptimize(sequential_split(
-        g, inst.probe.paths, inst.demand, inst.probe.capacities, fees));
+    sequential_split_core(g, inst.probe.paths, inst.demand,
+                          inst.probe.capacities, fees, ws, split);
+    benchmark::DoNotOptimize(split.total_fee);
   }
 }
 BENCHMARK(BM_LpCore_SequentialSplit)->Apply(apply_smoke);
@@ -151,14 +164,17 @@ void BM_LpCore_ElephantProbeSplit(benchmark::State& state) {
   NetworkState s = make_loaded_state(g);
   GraphScratch scratch;
   ElephantProbeResult probe;
+  SplitWorkspace ws;
+  SplitResult split;
   Rng rng(6);
   for (auto _ : state) {
     const auto src = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto dst = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     elephant_find_paths_into(g, src, dst, 1e6, 20, s, scratch, probe);
     if (probe.paths.empty() || probe.max_flow <= 0) continue;
-    benchmark::DoNotOptimize(optimize_fee_split(
-        g, probe.paths, 0.9 * probe.max_flow, probe.capacities, fees));
+    optimize_fee_split_core(g, probe.paths, 0.9 * probe.max_flow,
+                            probe.capacities, fees, ws, split);
+    benchmark::DoNotOptimize(split.total_fee);
   }
 }
 BENCHMARK(BM_LpCore_ElephantProbeSplit)->Apply(apply_smoke);

@@ -2,15 +2,16 @@
 //
 // These are not figures from the paper; they quantify the cost of each
 // primitive on realistic topology sizes so that regressions in the graph
-// layer are caught by numbers, not vibes. BFS, Yen, elephant probing and
-// the simplex fee split are measured on their scratch-based cores by
-// bench_graph_core and bench_lp.
+// layer are caught by numbers, not vibes. BFS, Dijkstra, Yen, elephant
+// probing and the simplex fee split are measured by bench_graph_core and
+// bench_lp.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "graph/edge_disjoint.h"
-#include "graph/maxflow.h"
+#include "graph/scratch.h"
 #include "graph/topology.h"
-#include "ledger/network_state.h"
 #include "util/rng.h"
 
 namespace flash {
@@ -25,36 +26,20 @@ const Graph& ripple_graph() {
   return g;
 }
 
-NetworkState make_loaded_state(const Graph& g) {
-  Rng rng(2);
-  NetworkState s(g);
-  s.assign_lognormal_split(250, 1.0, rng);
-  return s;
-}
-
 void BM_EdgeDisjointPaths(benchmark::State& state) {
   const Graph& g = ripple_graph();
+  GraphScratch scratch;
+  std::vector<Path> paths;
   Rng rng(5);
   for (auto _ : state) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    benchmark::DoNotOptimize(edge_disjoint_shortest_paths(g, s, t, 4));
+    edge_disjoint_core(g, s, t, 4, scratch, paths);
+    benchmark::DoNotOptimize(paths.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_EdgeDisjointPaths);
-
-void BM_EdmondsKarp(benchmark::State& state) {
-  const Graph& g = ripple_graph();
-  const NetworkState s = make_loaded_state(g);
-  Rng rng(6);
-  for (auto _ : state) {
-    const auto src = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const auto dst = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    benchmark::DoNotOptimize(edmonds_karp(
-        g, src, dst, [&](EdgeId e) { return s.balance(e); }, -1, 20));
-  }
-}
-BENCHMARK(BM_EdmondsKarp);
 
 void BM_TopologyGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -57,8 +57,10 @@ BENCHMARK(BM_RouteShortestPath);
 void BM_LedgerHoldCommit(benchmark::State& state) {
   const Workload& w = ripple_workload();
   NetworkState net = w.make_state(10.0);
-  const Path p = bfs_path(w.graph(), w.transactions()[0].sender,
-                          w.transactions()[0].receiver);
+  GraphScratch scratch;
+  Path p;
+  bfs_path_core(w.graph(), w.transactions()[0].sender,
+                w.transactions()[0].receiver, scratch, AdmitAll{}, p);
   for (auto _ : state) {
     const auto id = net.hold(p, 0.01);
     if (id) net.commit(*id);

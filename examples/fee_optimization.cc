@@ -35,9 +35,12 @@ int main() {
   const Amount demand = 120;
   std::printf("elephant payment: 0 -> 3, amount %.0f\n\n", demand);
 
-  // Algorithm 1: probe paths until the flow covers the demand.
-  ElephantProbeResult probe =
-      elephant_find_paths(g, 0, 3, demand, /*max_paths=*/20, state);
+  // Algorithm 1: probe paths until the flow covers the demand. Every
+  // algorithm runs in workspaces the caller owns and reuses.
+  GraphScratch scratch;
+  ElephantProbeResult probe;
+  elephant_find_paths_into(g, 0, 3, demand, /*max_paths=*/20, state, scratch,
+                           probe);
   std::printf("Algorithm 1 found %zu paths, max flow %.0f (feasible: %s)\n",
               probe.paths.size(), probe.max_flow,
               probe.feasible ? "yes" : "no");
@@ -49,10 +52,13 @@ int main() {
   }
 
   // Path selection: LP vs sequential.
-  const SplitResult lp =
-      optimize_fee_split(g, probe.paths, demand, probe.capacities, fees);
-  const SplitResult seq =
-      sequential_split(g, probe.paths, demand, probe.capacities, fees);
+  SplitWorkspace split_ws;
+  SplitResult lp;
+  SplitResult seq;
+  optimize_fee_split_core(g, probe.paths, demand, probe.capacities, fees,
+                          split_ws, lp);
+  sequential_split_core(g, probe.paths, demand, probe.capacities, fees,
+                        split_ws, seq);
 
   std::printf("\n%-24s %-12s %s\n", "split", "LP (program 1)", "sequential");
   for (std::size_t i = 0; i < probe.paths.size(); ++i) {

@@ -30,7 +30,6 @@
 #include "graph/edge_disjoint.h"     // IWYU pragma: export
 #include "graph/graph.h"             // IWYU pragma: export
 #include "graph/graph_io.h"          // IWYU pragma: export
-#include "graph/maxflow.h"           // IWYU pragma: export
 #include "graph/scratch.h"           // IWYU pragma: export
 #include "graph/topology.h"          // IWYU pragma: export
 #include "graph/types.h"             // IWYU pragma: export

@@ -4,14 +4,14 @@
 // Algorithm 1 ("Breath-First-Search(G, C', s, t)"): Flash repeatedly finds a
 // fewest-hops path whose residual capacity is non-zero.
 //
-// Layered like dijkstra.h: templated allocation-free *_core functions run
-// in a caller-provided GraphScratch; the original std::function API remains
-// as thin wrappers over a thread-local scratch.
+// Like every graph algorithm here, the searches are templated,
+// allocation-free *_core functions that run in a caller-provided
+// GraphScratch; read results from the scratch or the caller's path buffer.
 #pragma once
 
 #include <algorithm>
-#include <functional>
-#include <vector>
+#include <cstdint>
+#include <utility>
 
 #include "graph/graph.h"
 #include "graph/scratch.h"
@@ -19,10 +19,10 @@
 
 namespace flash {
 
-/// Predicate deciding whether a directed edge may be traversed.
-using EdgeFilter = std::function<bool(EdgeId)>;
+/// Hop count of a node no search reached.
+inline constexpr std::uint32_t kUnreachable = 0xffffffffu;
 
-/// Admit-everything filter — the default when no filter is given.
+/// Admit-everything filter: pass it where every edge may be traversed.
 struct AdmitAll {
   bool operator()(EdgeId) const { return true; }
 };
@@ -114,25 +114,5 @@ bool bfs_path_core(const Graph& g, NodeId s, NodeId t, GraphScratch& scratch,
   std::reverse(path_out.begin() + static_cast<long>(first), path_out.end());
   return true;
 }
-
-/// Fewest-hops path from s to t using only edges accepted by `admit`
-/// (all edges if `admit` is empty). Returns an empty path if t is
-/// unreachable (note: s == t also yields an empty path, which is a valid
-/// zero-length path in that case).
-Path bfs_path(const Graph& g, NodeId s, NodeId t, const EdgeFilter& admit = {});
-
-/// Hop distance from src to every node (kUnreachable if not reachable).
-inline constexpr std::uint32_t kUnreachable = 0xffffffffu;
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId src,
-                                         const EdgeFilter& admit = {});
-
-/// BFS spanning tree rooted at src: parent edge of each node
-/// (kInvalidEdge for src and unreachable nodes). The parent edge of v is the
-/// directed edge parent(v) -> v used when v was first discovered.
-std::vector<EdgeId> bfs_tree(const Graph& g, NodeId src,
-                             const EdgeFilter& admit = {});
-
-/// True if t is reachable from s over admissible edges.
-bool reachable(const Graph& g, NodeId s, NodeId t, const EdgeFilter& admit = {});
 
 }  // namespace flash

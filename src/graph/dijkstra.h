@@ -1,13 +1,9 @@
 // Weighted shortest path (Dijkstra) with pluggable edge weights.
 //
 // Used by Yen's k-shortest-paths and by routers that weight hops by fees.
-// Two layers:
-//  - dijkstra_core / dijkstra_distances_core: templated, allocation-free
-//    hot path running in a caller-provided GraphScratch. Edge weights and
-//    bans are compile-time callables, so the inner loop has no
-//    std::function dispatch.
-//  - dijkstra / dijkstra_distances: the original std::function API, kept as
-//    thin wrappers over a thread-local scratch so no caller breaks.
+// dijkstra_core / dijkstra_distances_core are templated and allocation-free:
+// they run in a caller-provided GraphScratch, and edge weights are
+// compile-time callables, so the inner loop has no indirect call.
 #pragma once
 
 #include <functional>
@@ -21,13 +17,11 @@
 
 namespace flash {
 
-/// Non-negative weight of a directed edge. Return `kEdgeBanned` to exclude
-/// an edge entirely.
-using EdgeWeight = std::function<double(EdgeId)>;
-
+/// Weight callables return a non-negative weight per directed edge, or
+/// `kEdgeBanned` to exclude the edge entirely.
 inline constexpr double kEdgeBanned = std::numeric_limits<double>::infinity();
 
-/// Unit edge weight (hop counting) — the default when no weight is given.
+/// Unit edge weight (hop counting).
 struct UnitWeight {
   double operator()(EdgeId) const { return 1.0; }
 };
@@ -51,15 +45,7 @@ inline constexpr bool kIsHopWeight<UnitWeight> = true;
 template <>
 inline constexpr bool kIsHopWeight<MaskedUnitWeight> = true;
 
-/// Result of a single-pair shortest path query.
-struct DijkstraResult {
-  Path path;          // empty when t unreachable (or s == t)
-  double distance =   // +inf when unreachable; 0 when s == t
-      std::numeric_limits<double>::infinity();
-  bool found = false;
-};
-
-/// Core result without the path (the path is appended to a caller buffer).
+/// Result of a single-pair query (the path is appended to a caller buffer).
 struct DijkstraCoreResult {
   double distance = std::numeric_limits<double>::infinity();
   bool found = false;
@@ -222,16 +208,5 @@ void dijkstra_distances_core(const Graph& g, NodeId src, GraphScratch& scratch,
   dijkstra_core(g, src, kInvalidNode, scratch,
                 std::forward<WeightFn>(weight), /*use_bans=*/false, unused);
 }
-
-/// Shortest s->t path under `weight` (unit weights if empty).
-/// Additional `banned_nodes[v] != 0` excludes v from interior use
-/// (needed by Yen's spur computation); may be empty.
-DijkstraResult dijkstra(const Graph& g, NodeId s, NodeId t,
-                        const EdgeWeight& weight = {},
-                        const std::vector<char>& banned_nodes = {});
-
-/// Distances from src to all nodes (no target, no bans).
-std::vector<double> dijkstra_distances(const Graph& g, NodeId src,
-                                       const EdgeWeight& weight = {});
 
 }  // namespace flash

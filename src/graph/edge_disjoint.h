@@ -16,10 +16,13 @@
 
 namespace flash {
 
-/// Core variant: writes up to k pairwise edge-disjoint fewest-hops s->t
-/// paths into `out` (slot-reused, then resized; see assign_path_slot).
-/// Used edges are tracked as scratch.edge_ban marks; allocation-free once
-/// the scratch is warm.
+/// Writes up to k pairwise edge-disjoint s->t paths into `out`
+/// (slot-reused, then resized; see assign_path_slot), each a fewest-hops
+/// path in the graph remaining after removing the previously chosen paths'
+/// edges. Only the traversed direction of a channel is removed; the reverse
+/// direction stays available (channel directions have independent
+/// balances). Used edges are tracked as scratch.edge_ban marks;
+/// allocation-free once the scratch is warm.
 inline void edge_disjoint_core(const Graph& g, NodeId s, NodeId t,
                                std::size_t k, GraphScratch& scratch,
                                std::vector<Path>& out,
@@ -44,12 +47,5 @@ inline void edge_disjoint_core(const Graph& g, NodeId s, NodeId t,
   }
   out.resize(found);
 }
-
-/// Up to k pairwise edge-disjoint s->t paths, each a fewest-hops path in the
-/// graph remaining after removing the previously chosen paths' edges.
-/// Only the traversed direction of a channel is removed; the reverse
-/// direction stays available (channel directions have independent balances).
-std::vector<Path> edge_disjoint_shortest_paths(const Graph& g, NodeId s,
-                                               NodeId t, std::size_t k);
 
 }  // namespace flash

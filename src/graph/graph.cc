@@ -7,15 +7,12 @@
 namespace flash {
 
 NodeId Graph::add_node() {
-  if (compacted_) throw std::logic_error("add_node on a compacted graph");
   csr_valid_ = false;
   out_.emplace_back();
-  ++num_nodes_;
   return static_cast<NodeId>(out_.size() - 1);
 }
 
 EdgeId Graph::add_channel(NodeId u, NodeId v) {
-  if (compacted_) throw std::logic_error("add_channel on a compacted graph");
   if (u == v) throw std::invalid_argument("self-channel not allowed");
   if (u >= num_nodes() || v >= num_nodes()) {
     throw std::out_of_range("add_channel: node id out of range");
@@ -34,12 +31,6 @@ EdgeId Graph::add_channel(NodeId u, NodeId v) {
 void Graph::reserve_channels(std::size_t channels) {
   from_.reserve(2 * channels);
   to_.reserve(2 * channels);
-}
-
-void Graph::compact() {
-  if (!finalized()) throw std::logic_error("compact() requires finalize()");
-  std::vector<std::vector<EdgeId>>().swap(out_);
-  compacted_ = true;
 }
 
 void Graph::finalize() {

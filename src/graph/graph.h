@@ -23,7 +23,7 @@ class Graph {
   Graph() = default;
 
   /// Creates a graph with n isolated nodes.
-  explicit Graph(std::size_t n) : out_(n), num_nodes_(n) {}
+  explicit Graph(std::size_t n) : out_(n) {}
 
   /// Appends a new node, returning its id.
   NodeId add_node();
@@ -35,7 +35,7 @@ class Graph {
   /// Precondition: u != v and both are valid node ids.
   EdgeId add_channel(NodeId u, NodeId v);
 
-  std::size_t num_nodes() const noexcept { return num_nodes_; }
+  std::size_t num_nodes() const noexcept { return out_.size(); }
 
   /// Number of *directed* edges (= 2 x number of channels).
   std::size_t num_edges() const noexcept { return from_.size(); }
@@ -59,18 +59,6 @@ class Graph {
   /// so building large (10k-100k node) topologies does not pay repeated
   /// geometric regrowth of four multi-megabyte vectors.
   void reserve_channels(std::size_t channels);
-
-  /// Releases the per-node adjacency vectors, keeping only the CSR arrays:
-  /// the construction-time representation costs ~heap-header + capacity
-  /// slack per node, which at 100k nodes is several MB of pure overhead on
-  /// top of the CSR mirror. Precondition: finalized(). The graph becomes
-  /// immutable — add_node()/add_channel() throw std::logic_error after
-  /// compaction. Queries (out_edges/out_arcs/out_degree) are unaffected:
-  /// they already read the CSR arrays on a finalized graph.
-  void compact();
-
-  /// True once compact() ran (the graph is frozen).
-  bool compacted() const noexcept { return compacted_; }
 
   NodeId from(EdgeId e) const { return from_[e]; }
   NodeId to(EdgeId e) const { return to_[e]; }
@@ -110,7 +98,6 @@ class Graph {
   }
 
   std::size_t out_degree(NodeId u) const {
-    // Same value either way; the CSR difference also works after compact().
     return csr_valid_ ? csr_off_[u + 1] - csr_off_[u] : out_[u].size();
   }
 
@@ -129,12 +116,10 @@ class Graph {
   // from_/to_ are 4 bytes per directed edge each, csr_off_ 4 bytes per
   // node, csr_edges_ 4 and csr_arcs_ 8 per directed edge — ~58 MB total at
   // the 100k-node Lightning density, all flat arrays. out_ is the only
-  // pointer-chasing structure (construction convenience) and is released
-  // by compact() on graphs that are done growing.
+  // pointer-chasing structure (construction convenience).
   std::vector<NodeId> from_;
   std::vector<NodeId> to_;
   std::vector<std::vector<EdgeId>> out_;
-  std::size_t num_nodes_ = 0;  // survives compact() releasing out_
   // CSR adjacency mirror of out_: csr_off_[u]..csr_off_[u+1] indexes the
   // outgoing edges of u inside csr_edges_ (same per-node order as out_).
   // csr_arcs_ is the same sequence with the head node packed alongside.
@@ -142,7 +127,6 @@ class Graph {
   std::vector<EdgeId> csr_edges_;
   std::vector<Arc> csr_arcs_;
   bool csr_valid_ = false;
-  bool compacted_ = false;
 };
 
 }  // namespace flash

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -21,9 +22,28 @@ void write_edge_list(std::ostream& os, const Graph& g) {
   }
 }
 
+namespace {
+
+[[noreturn]] void edge_list_fail(std::size_t lineno, const std::string& what) {
+  throw std::runtime_error("edge list line " + std::to_string(lineno) + ": " +
+                           what);
+}
+
+/// Why a "nodes,<n>" header is unusable, or null if it is fine: the count
+/// must fit the 32-bit id space and cover every id read before it (ids
+/// read after it are checked against it as they come).
+const char* node_count_error(std::uint64_t n, bool any_ids, NodeId max_id) {
+  if (n > kInvalidNode) return "node count exceeds the 32-bit id space";
+  if (any_ids && max_id >= n) return "node count below an earlier node id";
+  return nullptr;
+}
+
+}  // namespace
+
 Graph read_edge_list(std::istream& is) {
   std::vector<std::pair<NodeId, NodeId>> channels;
   std::size_t declared_nodes = 0;
+  bool nodes_declared = false;
   NodeId max_id = 0;
   bool any = false;
   std::string line;
@@ -35,32 +55,33 @@ Graph read_edge_list(std::istream& is) {
     const auto fields = split(sv, ',');
     if (fields.size() == 2 && trim(fields[0]) == "nodes") {
       const auto n = parse_uint(fields[1]);
-      if (!n) {
-        throw std::runtime_error("edge list line " + std::to_string(lineno) +
-                                 ": bad node count");
+      if (!n) edge_list_fail(lineno, "bad node count");
+      if (const char* err = node_count_error(*n, any, max_id)) {
+        edge_list_fail(lineno, err);
       }
       declared_nodes = *n;
+      nodes_declared = true;
       continue;
     }
-    if (fields.size() < 2) {
-      throw std::runtime_error("edge list line " + std::to_string(lineno) +
-                               ": expected u,v");
-    }
+    if (fields.size() < 2) edge_list_fail(lineno, "expected u,v");
     const auto u = parse_uint(fields[0]);
     const auto v = parse_uint(fields[1]);
     if (!u || !v || *u > kInvalidNode - 1 || *v > kInvalidNode - 1) {
-      throw std::runtime_error("edge list line " + std::to_string(lineno) +
-                               ": bad node id");
+      edge_list_fail(lineno, "bad node id");
     }
     const auto un = static_cast<NodeId>(*u);
     const auto vn = static_cast<NodeId>(*v);
+    if (un == vn) edge_list_fail(lineno, "self channel");
+    if (nodes_declared && (un >= declared_nodes || vn >= declared_nodes)) {
+      edge_list_fail(lineno, "node id exceeds declared node count");
+    }
     channels.emplace_back(un, vn);
     max_id = std::max({max_id, un, vn});
     any = true;
   }
   const std::size_t n =
-      std::max(declared_nodes, any ? static_cast<std::size_t>(max_id) + 1
-                                   : declared_nodes);
+      nodes_declared ? declared_nodes
+                     : (any ? static_cast<std::size_t>(max_id) + 1 : 0);
   Graph g(n);
   for (auto [u, v] : channels) g.add_channel(u, v);
   g.finalize();
@@ -140,6 +161,9 @@ LightningSnapshot read_lightning_snapshot(std::istream& is) {
       if (fields.size() != 2) snapshot_fail(lineno, "expected nodes,<n>");
       const auto n = parse_uint(trim(fields[1]));
       if (!n) snapshot_fail(lineno, "bad node count");
+      if (const char* err = node_count_error(*n, any, max_id)) {
+        snapshot_fail(lineno, err);
+      }
       snap.num_nodes = *n;
       nodes_declared = true;
       continue;

@@ -2,7 +2,8 @@
 //
 // Edge-list format (one channel per line, '#' comments allowed):
 //   u,v
-// Node count is max id + 1 unless a "nodes,<n>" header line raises it.
+// Node count is max id + 1 unless a "nodes,<n>" header line declares it
+// (isolated nodes included); every id must then be below n.
 // This matches the simple CSV crawls released with the paper's artifact.
 //
 // Snapshot format (CLoTH-style channel CSV, '#' comments allowed):
@@ -27,7 +28,9 @@ namespace flash {
 void write_edge_list(std::ostream& os, const Graph& g);
 
 /// Parses an edge list. Throws std::runtime_error naming the offending
-/// line on malformed input and node ids above kInvalidNode - 1.
+/// line on malformed input, self channels, node ids above
+/// kInvalidNode - 1 or at or above a declared node count, and node counts
+/// above kInvalidNode.
 Graph read_edge_list(std::istream& is);
 
 /// Convenience file wrappers; throw std::runtime_error on I/O failure.
@@ -63,8 +66,9 @@ void write_lightning_snapshot(std::ostream& os, const LightningSnapshot& s);
 
 /// Parses a snapshot. Throws std::runtime_error naming the offending line
 /// on malformed input, duplicate channels (either orientation), self
-/// channels, node ids outside a declared "nodes" header, and balances or
-/// fee parameters that are negative, non-finite, or overflow a double.
+/// channels, node ids outside a declared "nodes" header, node counts above
+/// kInvalidNode, and balances or fee parameters that are negative,
+/// non-finite, or overflow a double.
 LightningSnapshot read_lightning_snapshot(std::istream& is);
 
 /// Convenience file wrappers; throw std::runtime_error on I/O failure.

@@ -11,23 +11,19 @@
 //
 // Ownership and threading contract:
 //  - A scratch is NOT thread-safe and has hard thread affinity: it may only
-//    be used by one thread at a time. Each concurrently running router /
-//    sweep-engine worker owns its own scratch (FlashRouter embeds one), the
-//    same way each owns its own Rng and MiceRoutingTable.
+//    be used by one thread at a time. Every caller of a graph algorithm
+//    passes a scratch it owns: each router (FlashRouter, ShortestPathRouter,
+//    SpiderRouter) embeds one, the same way each owns its own Rng and
+//    MiceRoutingTable, and one-off queries use a local.
 //  - A scratch is graph-agnostic: arrays grow to the largest graph seen and
 //    are epoch-reset per query, so one scratch can serve queries on
 //    different graphs.
-//  - The legacy allocation-per-call entry points (dijkstra(), bfs_path(),
-//    yen_k_shortest_paths(), ...) remain as thin wrappers over a
-//    thread-local scratch (see internal_graph_scratch()), so existing
-//    callers get the fast path for free.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -192,55 +188,6 @@ struct GraphScratch {
   std::vector<std::pair<EdgeId, Amount>> flow_buf;  // netted flow (EdgeAmount)
   std::vector<std::size_t> index_buf;  // path-order shuffling (mice)
   std::vector<Path> path_list_buf;  // yen output staging (table fill)
-
-  // --- Re-entrancy detection (see LegacyScratchLease) ------------------
-  bool legacy_entry_active = false;
-};
-
-/// The thread-local scratch behind the legacy (scratch-less) entry points.
-/// Re-entrant composition is safe only through the *_core functions; the
-/// wrappers never call each other through this scratch.
-GraphScratch& internal_graph_scratch();
-
-/// Scratch lease for the legacy wrappers. Normally hands out the shared
-/// thread-local scratch (allocation-free steady state). If the caller is
-/// already inside a legacy call — a user weight/filter callback invoking
-/// another legacy graph function — the shared scratch is mid-query, so the
-/// lease falls back to a private short-lived scratch instead: the legacy
-/// API stays fully re-entrant (as its allocation-per-call predecessor
-/// was), just paying allocations on that rare nested path.
-class LegacyScratchLease {
- public:
-  LegacyScratchLease() {
-    GraphScratch& shared = internal_graph_scratch();
-    if (shared.legacy_entry_active) {
-      owned_ = std::make_unique<GraphScratch>();
-      scratch_ = owned_.get();
-    } else {
-      shared.legacy_entry_active = true;
-      scratch_ = &shared;
-    }
-  }
-  ~LegacyScratchLease() {
-    if (!owned_) scratch_->legacy_entry_active = false;
-  }
-  LegacyScratchLease(const LegacyScratchLease&) = delete;
-  LegacyScratchLease& operator=(const LegacyScratchLease&) = delete;
-
-  GraphScratch& get() noexcept { return *scratch_; }
-
- private:
-  GraphScratch* scratch_;
-  std::unique_ptr<GraphScratch> owned_;
-};
-
-/// Adapts a legacy std::function-style callback (weight, filter, capacity)
-/// for the templated algorithm cores: one adapter for all wrappers, same
-/// one-indirect-call-per-edge cost the pre-scratch implementations had.
-template <typename Fn>
-struct LegacyCallable {
-  const Fn* fn;
-  auto operator()(EdgeId e) const { return (*fn)(e); }
 };
 
 /// Copies `p` into slot `i` of `out`, reusing the existing element's heap

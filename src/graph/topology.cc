@@ -286,9 +286,12 @@ Graph prune_low_degree(const Graph& g, std::size_t min_degree,
 
 bool is_connected(const Graph& g) {
   if (g.num_nodes() == 0) return true;
-  const auto dist = bfs_distances(g, 0);
-  return std::none_of(dist.begin(), dist.end(),
-                      [](std::uint32_t d) { return d == kUnreachable; });
+  GraphScratch scratch;
+  bfs_core(g, 0, kInvalidNode, scratch, AdmitAll{});
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!scratch.parent.contains(v)) return false;
+  }
+  return true;
 }
 
 std::vector<double> approx_betweenness(const Graph& g, std::size_t samples,

@@ -87,8 +87,10 @@ inline bool yen_known_insert(GraphScratch& s, std::uint32_t idx,
 
 /// Core Yen: up to k loopless shortest s->t paths under `weight`, written
 /// into `out` (slot-reused, then resized to the number found; see
-/// assign_path_slot). Ordering matches yen_k_shortest_paths exactly.
-/// Runs entirely in `scratch`; allocation-free once warm.
+/// assign_path_slot), ordered by increasing cost; ties are broken
+/// deterministically by the candidate-generation order. Fewer than k paths
+/// come back when the graph has fewer distinct loopless s->t paths. Runs
+/// entirely in `scratch`; allocation-free once warm.
 template <typename WeightFn>
 void yen_core(const Graph& g, NodeId s, NodeId t, std::size_t k,
               GraphScratch& scratch, WeightFn&& weight,
@@ -254,13 +256,5 @@ void yen_core(const Graph& g, NodeId s, NodeId t, std::size_t k,
   }
   finish();
 }
-
-/// Up to k loopless shortest paths from s to t ordered by increasing cost
-/// (hop count when `weight` is empty; ties broken deterministically by the
-/// candidate-generation order). Fewer than k paths are returned when the
-/// graph does not contain k distinct loopless paths.
-std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId s, NodeId t,
-                                       std::size_t k,
-                                       const EdgeWeight& weight = {});
 
 }  // namespace flash

@@ -250,28 +250,4 @@ void solve_lp_core(LpWorkspace& ws) {
   ws.objective_value = direct;
 }
 
-LpSolution solve_lp(const LpProblem& problem) {
-  // LP solving takes no user callbacks, so unlike the graph wrappers this
-  // thread_local needs no re-entrancy lease.
-  thread_local LpWorkspace ws;
-  const std::size_t n = problem.num_vars();
-  ws.reset(n);
-  for (std::size_t j = 0; j < n; ++j) ws.objective[j] = problem.objective[j];
-  for (const auto& con : problem.constraints) {
-    assert(con.coeffs.size() <= n);
-    double* row = ws.add_constraint(con.rel, con.rhs);
-    const std::size_t k = std::min(con.coeffs.size(), n);
-    for (std::size_t j = 0; j < k; ++j) row[j] = con.coeffs[j];
-  }
-  solve_lp_core(ws);
-
-  LpSolution solution;
-  solution.status = ws.status;
-  if (ws.status == LpStatus::kOptimal) {
-    solution.x = ws.x;
-    solution.objective_value = ws.objective_value;
-  }
-  return solution;
-}
-
 }  // namespace flash

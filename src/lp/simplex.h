@@ -7,18 +7,12 @@
 // a few dozen constraints), so a dense tableau with Bland's anti-cycling
 // rule is simple, exact enough, and fast.
 //
-// Two entry points:
-//  - solve_lp_core(LpWorkspace&): the hot path. The caller emits the
-//    problem directly into a reusable workspace (flat row-major constraint
-//    buffer, no per-constraint vectors) and the solver runs in that same
-//    workspace: one flat tableau buffer, mask-based artificial-column
-//    tracking, zero steady-state heap allocations once the buffers have
-//    warmed up to the largest problem seen.
-//  - solve_lp(const LpProblem&): the legacy value-type API, kept as a thin
-//    wrapper that copies the problem into a thread_local workspace (the
-//    same pattern the graph cores use, see graph/scratch.h).
-// Both run the identical pivot sequence: for the same problem (same
-// constraint order) they produce bit-identical solutions.
+// One entry point, solve_lp_core(LpWorkspace&): the caller emits the
+// problem directly into a reusable workspace (flat row-major constraint
+// buffer, no per-constraint vectors) and the solver runs in that same
+// workspace: one flat tableau buffer, mask-based artificial-column
+// tracking, zero steady-state heap allocations once the buffers have warmed
+// up to the largest problem seen.
 #pragma once
 
 #include <cstddef>
@@ -28,30 +22,11 @@ namespace flash {
 
 enum class Relation { kLessEq, kEq, kGreaterEq };
 
-struct LpConstraint {
-  std::vector<double> coeffs;  // one per variable; missing treated as 0
-  Relation rel = Relation::kLessEq;
-  double rhs = 0;
-};
-
-/// minimize objective . x  subject to constraints, x >= 0.
-struct LpProblem {
-  std::vector<double> objective;
-  std::vector<LpConstraint> constraints;
-
-  std::size_t num_vars() const noexcept { return objective.size(); }
-};
-
 enum class LpStatus { kOptimal, kInfeasible, kUnbounded };
 
-struct LpSolution {
-  LpStatus status = LpStatus::kInfeasible;
-  std::vector<double> x;        // valid iff status == kOptimal
-  double objective_value = 0;   // valid iff status == kOptimal
-};
-
-/// Reusable workspace: problem input, solver scratch and solution output in
-/// one allocation-retaining object.
+/// Reusable workspace for the LP  minimize objective . x  subject to the
+/// emitted constraints, x >= 0: problem input, solver scratch and solution
+/// output in one allocation-retaining object.
 ///
 /// Usage:
 ///   ws.reset(num_vars);
@@ -135,9 +110,5 @@ class LpWorkspace {
 /// ws.objective_value. Deterministic; terminates on all inputs (Bland's
 /// rule); zero steady-state heap allocations.
 void solve_lp_core(LpWorkspace& ws);
-
-/// Legacy API: solves the LP via a thread_local workspace. Deterministic;
-/// terminates on all inputs (Bland's rule).
-LpSolution solve_lp(const LpProblem& problem);
 
 }  // namespace flash

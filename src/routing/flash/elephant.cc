@@ -116,17 +116,6 @@ void elephant_find_paths_into(const Graph& g, NodeId s, NodeId t,
   finish();
 }
 
-ElephantProbeResult elephant_find_paths(const Graph& g, NodeId s, NodeId t,
-                                        Amount demand, std::size_t max_paths,
-                                        NetworkState& state) {
-  ElephantProbeResult result;
-  LegacyScratchLease lease;
-  GraphScratch& scratch = lease.get();
-  elephant_find_paths_into(g, s, t, demand, max_paths, state, scratch,
-                           result);
-  return result;
-}
-
 RouteResult route_elephant(const Graph& g, const Transaction& tx,
                            NetworkState& state, const FeeSchedule& fees,
                            const ElephantConfig& config, GraphScratch& scratch,
@@ -206,17 +195,6 @@ RouteResult route_elephant(const Graph& g, const Transaction& tx,
   result.delivered = tx.amount;
   result.fee = split.total_fee;
   return result;
-}
-
-RouteResult route_elephant(const Graph& g, const Transaction& tx,
-                           NetworkState& state, const FeeSchedule& fees,
-                           const ElephantConfig& config) {
-  ElephantProbeResult probe_buf;
-  SplitWorkspace split_ws;
-  LegacyScratchLease lease;
-  GraphScratch& scratch = lease.get();
-  return route_elephant(g, tx, state, fees, config, scratch, probe_buf,
-                        split_ws);
 }
 
 }  // namespace flash

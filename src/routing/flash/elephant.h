@@ -54,19 +54,13 @@ struct ElephantProbeResult {
   std::uint32_t probes = 0;         // number of path probes issued
 };
 
-/// Algorithm 1: modified Edmonds-Karp with probing against `state`.
-/// Mutates only `state` (probe metering); safe to call concurrently on
-/// distinct NetworkStates.
-ElephantProbeResult elephant_find_paths(const Graph& g, NodeId s, NodeId t,
-                                        Amount demand, std::size_t max_paths,
-                                        NetworkState& state);
-
-/// Hot-path variant: runs the probe loop in `scratch` (residuals and the
-/// per-iteration BFS live in flat epoch-stamped edge arrays — no hash-map
-/// lookups anywhere) and reuses `result`'s buffers, including the flat
-/// probed capacity matrix. Zero steady-state allocations. Same sharing
-/// rules as elephant_find_paths, plus: `scratch` follows the GraphScratch
-/// thread-affinity contract.
+/// Algorithm 1: modified Edmonds-Karp with probing against `state`, run
+/// in `scratch` (residuals and the per-iteration BFS live in flat
+/// epoch-stamped edge arrays — no hash-map lookups anywhere) into
+/// `result`, whose buffers are reused, including the flat probed capacity
+/// matrix. Zero steady-state allocations. Mutates only `state` (probe
+/// metering), `scratch` and `result`; safe to call concurrently on
+/// distinct NetworkStates with distinct workspaces.
 void elephant_find_paths_into(const Graph& g, NodeId s, NodeId t,
                               Amount demand, std::size_t max_paths,
                               NetworkState& state, GraphScratch& scratch,
@@ -75,16 +69,12 @@ void elephant_find_paths_into(const Graph& g, NodeId s, NodeId t,
                               std::size_t max_hops = 0);
 
 /// Full elephant pipeline: find paths, split (LP or sequential), execute
-/// atomically against the ledger. Mutates only `state`; safe to call
-/// concurrently on distinct NetworkStates.
-RouteResult route_elephant(const Graph& g, const Transaction& tx,
-                           NetworkState& state, const FeeSchedule& fees,
-                           const ElephantConfig& config);
-
-/// Hot-path variant threading the router's workspaces through the whole
-/// pipeline (FlashRouter::route uses this): graph scratch for
-/// probing/netting, a reusable probe result, and the split workspace for
-/// program (1). Allocation-free in steady state.
+/// atomically against the ledger. The caller's workspaces run the whole
+/// pipeline: graph scratch for probing/netting, a reusable probe result,
+/// and the split workspace for program (1) (FlashRouter passes its own).
+/// Allocation-free in steady state. Mutates only `state` and the
+/// workspaces; safe to call concurrently on distinct NetworkStates with
+/// distinct workspaces.
 RouteResult route_elephant(const Graph& g, const Transaction& tx,
                            NetworkState& state, const FeeSchedule& fees,
                            const ElephantConfig& config, GraphScratch& scratch,

@@ -96,14 +96,6 @@ RouteResult route_mice(const Graph& g, const Transaction& tx,
   return result;
 }
 
-RouteResult route_mice(const Graph& g, const Transaction& tx,
-                       NetworkState& state, const FeeSchedule& fees,
-                       MiceRoutingTable& table, Rng& rng) {
-  LegacyScratchLease lease;
-  GraphScratch& scratch = lease.get();
-  return route_mice(g, tx, state, fees, table, rng, scratch);
-}
-
 RouteResult route_mice_waterfill(const Graph& g, const Transaction& tx,
                                  NetworkState& state, const FeeSchedule& fees,
                                  MiceRoutingTable& table,
@@ -155,14 +147,6 @@ RouteResult route_mice_waterfill(const Graph& g, const Transaction& tx,
   result.delivered = tx.amount;
   result.fee = fee;
   return result;
-}
-
-RouteResult route_mice_waterfill(const Graph& g, const Transaction& tx,
-                                 NetworkState& state, const FeeSchedule& fees,
-                                 MiceRoutingTable& table) {
-  LegacyScratchLease lease;
-  GraphScratch& scratch = lease.get();
-  return route_mice_waterfill(g, tx, state, fees, table, scratch);
 }
 
 }  // namespace flash

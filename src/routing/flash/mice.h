@@ -21,17 +21,13 @@
 namespace flash {
 
 /// Routes one mice payment. `table` is the sender-side routing table,
-/// `rng` drives the random path order. Mutates `state`, `table` and `rng`:
-/// concurrent calls must not share any of the three (one router — and so
-/// one table/rng — per concurrent simulation).
-RouteResult route_mice(const Graph& g, const Transaction& tx,
-                       NetworkState& state, const FeeSchedule& fees,
-                       MiceRoutingTable& table, Rng& rng);
-
-/// Hot-path variant: the path-order buffer, probe balances and dead-path
-/// staging all live in `scratch` (same thread-affinity contract as the
-/// graph algorithms), so a table-hit payment allocates nothing in the
-/// routing layer. FlashRouter::route uses this.
+/// `rng` drives the random path order. The path-order buffer, probe
+/// balances and dead-path staging all live in `scratch` (same
+/// thread-affinity contract as the graph algorithms), so a table-hit
+/// payment allocates nothing in the routing layer. Mutates `state`,
+/// `table`, `rng` and `scratch`: concurrent calls must not share any of
+/// them (one router — and so one table/rng/scratch — per concurrent
+/// simulation).
 RouteResult route_mice(const Graph& g, const Transaction& tx,
                        NetworkState& state, const FeeSchedule& fees,
                        MiceRoutingTable& table, Rng& rng,
@@ -43,11 +39,6 @@ RouteResult route_mice(const Graph& g, const Transaction& tx,
 /// exchange for balance-aware path use. Exposed for the ablation bench
 /// that quantifies this tradeoff against the paper's trial-and-error.
 /// Same sharing rules as route_mice (minus the rng).
-RouteResult route_mice_waterfill(const Graph& g, const Transaction& tx,
-                                 NetworkState& state, const FeeSchedule& fees,
-                                 MiceRoutingTable& table);
-
-/// Scratch-threaded variant of route_mice_waterfill.
 RouteResult route_mice_waterfill(const Graph& g, const Transaction& tx,
                                  NetworkState& state, const FeeSchedule& fees,
                                  MiceRoutingTable& table,

@@ -224,14 +224,6 @@ PrefetchStats MiceRoutingTable::prefetch_stats() const {
 
 const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
                                                   NodeId receiver,
-                                                  bool* computed) {
-  LegacyScratchLease lease;
-  GraphScratch& scratch = lease.get();
-  return lookup(sender, receiver, scratch, computed);
-}
-
-const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
-                                                  NodeId receiver,
                                                   GraphScratch& scratch,
                                                   bool* computed) {
   ++clock_;

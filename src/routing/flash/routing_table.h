@@ -157,14 +157,10 @@ class MiceRoutingTable {
   MiceRoutingTable& operator=(const MiceRoutingTable&) = delete;
 
   /// Active paths for (sender, receiver); computes and inserts them on
-  /// first use. The returned reference is invalidated by any non-const
-  /// call. `computed` (optional out) reports whether this call inserted a
+  /// first use, running Yen inside `scratch` (FlashRouter passes its own).
+  /// The returned reference is invalidated by any non-const call.
+  /// `computed` (optional out) reports whether this call inserted a
   /// freshly computed entry (Yen ran here or on a prefetch helper).
-  const std::vector<Path>& lookup(NodeId sender, NodeId receiver,
-                                  bool* computed = nullptr);
-
-  /// Hot-path variant: a cache miss runs Yen inside `scratch` instead of a
-  /// thread-local one (FlashRouter passes its own). Same semantics.
   const std::vector<Path>& lookup(NodeId sender, NodeId receiver,
                                   GraphScratch& scratch,
                                   bool* computed = nullptr);

@@ -16,16 +16,15 @@ const Path& ShortestPathRouter::shortest_path(NodeId s, NodeId t) {
   const auto key = pair_key(s, t);
   auto it = cache_.find(key);
   if (it == cache_.end()) {
+    Path p;
     if (open_mask_) {
       const unsigned char* mask = open_mask_;
-      Path p;
-      LegacyScratchLease lease;
-      bfs_path_core(*graph_, s, t, lease.get(),
+      bfs_path_core(*graph_, s, t, scratch_,
                     [mask](EdgeId e) { return mask[e] != 0; }, p);
-      it = cache_.emplace(key, std::move(p)).first;
     } else {
-      it = cache_.emplace(key, bfs_path(*graph_, s, t)).first;
+      bfs_path_core(*graph_, s, t, scratch_, AdmitAll{}, p);
     }
+    it = cache_.emplace(key, std::move(p)).first;
   }
   return it->second;
 }

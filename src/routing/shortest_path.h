@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "graph/graph.h"
+#include "graph/scratch.h"
 #include "ledger/fee_policy.h"
 #include "routing/router.h"
 
@@ -43,6 +44,7 @@ class ShortestPathRouter : public Router {
   const unsigned char* open_mask_ = nullptr;  // borrowed; null = all open
   /// Shortest paths are static given the topology, so cache per pair.
   std::unordered_map<std::uint64_t, Path> cache_;
+  GraphScratch scratch_;  // BFS workspace for cache misses
 
   const Path& shortest_path(NodeId s, NodeId t);
 };

@@ -34,24 +34,29 @@ void SpeedyMurmursRouter::build_embeddings() {
                     by_degree.begin() + static_cast<long>(count));
 
   coords_.resize(landmarks_.size());
+  GraphScratch scratch;
+  std::vector<NodeId> order;
   for (std::size_t tree = 0; tree < landmarks_.size(); ++tree) {
-    const auto parent = bfs_tree(*graph_, landmarks_[tree]);
+    const NodeId root = landmarks_[tree];
+    // One BFS yields both the spanning tree (scratch.parent) and each
+    // node's depth in it (scratch.hops).
+    bfs_core<true>(*graph_, root, kInvalidNode, scratch, AdmitAll{});
     auto& coord = coords_[tree];
     coord.assign(n, {});
     // Assign coordinates in BFS order so parents are done before children.
-    const auto dist = bfs_distances(*graph_, landmarks_[tree]);
-    std::vector<NodeId> order(n);
-    for (NodeId v = 0; v < n; ++v) order[v] = v;
+    order.clear();
+    for (NodeId v = 0; v < n; ++v) {
+      if (scratch.hops.contains(v)) order.push_back(v);
+    }
     std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      return dist[a] < dist[b];
+      return scratch.hops.get(a) < scratch.hops.get(b);
     });
     for (NodeId v : order) {
-      if (dist[v] == kUnreachable) continue;
-      if (v == landmarks_[tree]) {
+      if (v == root) {
         coord[v] = {v};
         continue;
       }
-      const NodeId p = graph_->from(parent[v]);
+      const NodeId p = graph_->from(scratch.parent.get(v));
       coord[v] = coord[p];
       coord[v].push_back(v);
     }

@@ -19,13 +19,8 @@ const std::vector<Path>& SpiderRouter::paths_for(NodeId s, NodeId t) {
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     std::vector<Path> paths;
-    if (open_mask_) {
-      LegacyScratchLease lease;
-      edge_disjoint_core(*graph_, s, t, config_.num_paths, lease.get(), paths,
-                         open_mask_);
-    } else {
-      paths = edge_disjoint_shortest_paths(*graph_, s, t, config_.num_paths);
-    }
+    edge_disjoint_core(*graph_, s, t, config_.num_paths, scratch_, paths,
+                       open_mask_);
     if (config_.max_hops != 0) {
       std::erase_if(paths, [this](const Path& p) {
         return p.size() > config_.max_hops;

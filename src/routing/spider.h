@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/scratch.h"
 #include "ledger/fee_policy.h"
 #include "routing/router.h"
 
@@ -59,6 +60,7 @@ class SpiderRouter : public Router {
   const unsigned char* open_mask_ = nullptr;  // borrowed; null = all open
   /// Edge-disjoint shortest paths are static per pair; cache them.
   std::unordered_map<std::uint64_t, std::vector<Path>> cache_;
+  GraphScratch scratch_;  // path-search workspace for cache misses
 
   const std::vector<Path>& paths_for(NodeId s, NodeId t);
 };

@@ -8,6 +8,7 @@
 
 #include "graph/bfs.h"
 #include "graph/edge_disjoint.h"
+#include "graph/scratch.h"
 #include "graph/yen.h"
 #include "testbed/sessions.h"
 #include "trace/workload.h"
@@ -37,7 +38,8 @@ class PathProvider {
     bound(sp_);
     auto it = sp_.find(pair_key(s, t));
     if (it == sp_.end()) {
-      const Path p = bfs_path(*graph_, s, t);
+      Path p;
+      bfs_path_core(*graph_, s, t, scratch_, AdmitAll{}, p);
       NodePath nodes;
       if (!p.empty()) nodes = graph_->path_nodes(p, s);
       it = sp_.emplace(pair_key(s, t), std::move(nodes)).first;
@@ -50,7 +52,8 @@ class PathProvider {
     auto it = disjoint_.find(pair_key(s, t));
     if (it == disjoint_.end()) {
       std::vector<NodePath> node_paths;
-      for (const Path& p : edge_disjoint_shortest_paths(*graph_, s, t, k)) {
+      edge_disjoint_core(*graph_, s, t, k, scratch_, paths_);
+      for (const Path& p : paths_) {
         node_paths.push_back(graph_->path_nodes(p, s));
       }
       it = disjoint_.emplace(pair_key(s, t), std::move(node_paths)).first;
@@ -63,7 +66,8 @@ class PathProvider {
     auto it = mice_.find(pair_key(s, t));
     if (it == mice_.end()) {
       std::vector<NodePath> node_paths;
-      for (const Path& p : yen_k_shortest_paths(*graph_, s, t, m)) {
+      yen_core(*graph_, s, t, m, scratch_, UnitWeight{}, paths_);
+      for (const Path& p : paths_) {
         node_paths.push_back(graph_->path_nodes(p, s));
       }
       it = mice_.emplace(pair_key(s, t), std::move(node_paths)).first;
@@ -78,6 +82,8 @@ class PathProvider {
   }
 
   const Graph* graph_;
+  GraphScratch scratch_;     // path-search workspace
+  std::vector<Path> paths_;  // edge-path staging before node conversion
   std::unordered_map<std::uint64_t, NodePath> sp_;
   std::unordered_map<std::uint64_t, std::vector<NodePath>> disjoint_;
   std::unordered_map<std::uint64_t, std::vector<NodePath>> mice_;

@@ -385,8 +385,10 @@ void FlashElephantSession::probe_round() {
     const auto it = residual_.find(e);
     return it == residual_.end() || it->second > kEps;
   };
-  const Path edge_path = bfs_path(*graph_, sender_, receiver_, admit);
-  if (edge_path.empty()) {
+  Path edge_path;
+  if (!bfs_path_core(*graph_, sender_, receiver_, scratch_, admit,
+                     edge_path) ||
+      edge_path.empty()) {
     split_and_commit();
     return;
   }
@@ -441,11 +443,12 @@ void FlashElephantSession::split_and_commit() {
     finish(false);  // Algorithm 1 infeasible: nothing held, nothing to undo
     return;
   }
-  SplitResult split =
-      optimize_fee_split(*graph_, edge_paths_, amount(), capacities_, *fees_);
+  SplitResult split;
+  optimize_fee_split_core(*graph_, edge_paths_, amount(), capacities_, *fees_,
+                          split_ws_, split);
   if (!split.feasible) {
-    split =
-        sequential_split(*graph_, edge_paths_, amount(), capacities_, *fees_);
+    sequential_split_core(*graph_, edge_paths_, amount(), capacities_, *fees_,
+                          split_ws_, split);
   }
   if (!split.feasible) {
     finish(false);

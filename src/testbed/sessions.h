@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/scratch.h"
 #include "ledger/fee_policy.h"
 #include "lp/fee_min.h"
 #include "testbed/network.h"
@@ -162,6 +163,8 @@ class FlashElephantSession : public PaymentSession {
   ProbedCapacities capacities_;
   std::vector<Path> edge_paths_;
   Amount flow_ = 0;
+  GraphScratch scratch_;    // residual BFS workspace
+  SplitWorkspace split_ws_;  // program (1) / sequential fill workspace
 
   void probe_round();
   void on_probe_ack(const Path& edge_path, const Message& msg);

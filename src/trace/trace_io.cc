@@ -35,10 +35,13 @@ std::vector<Transaction> read_trace(std::istream& is) {
   std::vector<Transaction> txs;
   std::string line;
   std::size_t lineno = 0;
+  bool first_record = true;  // the only line that may be a header row
   while (std::getline(is, line)) {
     ++lineno;
     const std::string_view sv = trim(line);
     if (sv.empty() || sv.front() == '#') continue;
+    const bool may_be_header = first_record;
+    first_record = false;
     const auto fields = parse_csv_line(sv);
     if (fields.size() < 3) {
       trace_fail(lineno, "expected sender,receiver,amount[,ts]");
@@ -47,7 +50,7 @@ std::vector<Transaction> read_trace(std::istream& is) {
     const auto r = parse_uint(fields[1]);
     const auto a = parse_double(fields[2]);
     if (!s || !r || !a) {
-      if (lineno == 1) continue;  // tolerate a header row
+      if (may_be_header) continue;
       trace_fail(lineno, "parse error");
     }
     // Ids past kInvalidNode - 1 would wrap in the NodeId narrowing below.

@@ -1,9 +1,9 @@
 // Transaction-trace serialization.
 //
 // CSV format, one transaction per line: sender,receiver,amount,timestamp
-// (header optional, '#' comments allowed). This is the shape of the Ripple
-// trace released with the paper's artifact, so a real trace can be dropped
-// in place of the synthetic workloads.
+// ('#' comments allowed; the first non-comment line may be a header). This
+// is the shape of the Ripple trace released with the paper's artifact, so
+// a real trace can be dropped in place of the synthetic workloads.
 #pragma once
 
 #include <iosfwd>

@@ -50,7 +50,10 @@ bool GeneratedWorkloadStream::next(Transaction& out) {
       r = static_cast<NodeId>(rng_.next_below(graph_->num_nodes()));
       if (s == r) continue;
     }
-    if (check_pairs_ && !reachable(*graph_, s, r)) continue;
+    if (check_pairs_) {
+      bfs_core(*graph_, s, r, scratch_, AdmitAll{});
+      if (!scratch_.parent.contains(r)) continue;
+    }
     out.sender = s;
     out.receiver = r;
     out.amount = config_.sizes.sample(rng_);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/scratch.h"
 #include "trace/pair_gen.h"
 #include "trace/size_dist.h"
 #include "trace/transaction.h"
@@ -123,6 +124,7 @@ class GeneratedWorkloadStream final : public WorkloadStream {
   Rng rng_;
   std::optional<RecurrentPairGenerator> pairs_;
   bool check_pairs_ = false;
+  GraphScratch scratch_;  // BFS workspace of the pair check
   std::size_t emitted_ = 0;
 };
 

@@ -47,12 +47,14 @@ TEST(CrossValidation, ShortestPathIdenticalOutcomes) {
   const Graph& g = f.workload.graph();
   FeeSchedule fees(g);
   ShortestPathRouter router(g, fees);
+  GraphScratch scratch;
 
   for (const Transaction& tx : f.workload.transactions()) {
     // Ledger side.
     const RouteResult sim = router.route(tx, f.ledger);
     // Testbed side, same shortest path.
-    const Path p = bfs_path(g, tx.sender, tx.receiver);
+    Path p;
+    bfs_path_core(g, tx.sender, tx.receiver, scratch, AdmitAll{}, p);
     bool tb_success = false;
     if (!p.empty()) {
       testbed::SpSession session(f.net, g.path_nodes(p, tx.sender),
@@ -74,12 +76,13 @@ TEST(CrossValidation, SpiderIdenticalOutcomes) {
   const Graph& g = f.workload.graph();
   FeeSchedule fees(g);
   SpiderRouter router(g, fees);
+  GraphScratch scratch;
+  std::vector<Path> edge_paths;
 
   for (const Transaction& tx : f.workload.transactions()) {
     const RouteResult sim = router.route(tx, f.ledger);
 
-    const auto edge_paths =
-        edge_disjoint_shortest_paths(g, tx.sender, tx.receiver, 4);
+    edge_disjoint_core(g, tx.sender, tx.receiver, 4, scratch, edge_paths);
     std::vector<testbed::NodePath> node_paths;
     for (const Path& p : edge_paths) {
       node_paths.push_back(g.path_nodes(p, tx.sender));

@@ -3,9 +3,9 @@
 // paths the paper mentions in passing.
 #include <gtest/gtest.h>
 
-#include "graph/maxflow.h"
 #include "graph/topology.h"
 #include "graph/yen.h"
+#include "maxflow.h"
 #include "routing/flash/elephant.h"
 #include "routing/flash/flash_router.h"
 #include "routing/flash/mice.h"
@@ -31,13 +31,15 @@ Transaction tx(NodeId s, NodeId t, Amount a) { return {s, t, a, 0}; }
 TEST(ElephantEdge, ZeroCapacityPathProbedButContributesNothing) {
   // §3.2: "It is thus possible, though rare, that our algorithm finds a
   // path but its effective capacity is zero after probing."
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   NetworkState s(g);
   set_channel(s, g, 0, 0, 0);  // dead path via 1
   set_channel(s, g, 1, 0, 0);
   set_channel(s, g, 2, 50, 0);
   set_channel(s, g, 3, 50, 0);
-  const auto r = elephant_find_paths(g, 0, 3, 40, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 3, 40, 20, s, scratch, r);
   EXPECT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.max_flow, 50);
   // The dead path may have been probed (flow 0) but the live one carries.
@@ -45,24 +47,31 @@ TEST(ElephantEdge, ZeroCapacityPathProbedButContributesNothing) {
 }
 
 TEST(ElephantEdge, ZeroMaxPathsAlwaysInfeasible) {
+  GraphScratch scratch;
   Graph g = make_graph(2, {{0, 1}});
   NetworkState s(g);
   set_channel(s, g, 0, 100, 0);
-  const auto r = elephant_find_paths(g, 0, 1, 1, 0, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 1, 1, 0, s, scratch, r);
   EXPECT_FALSE(r.feasible);
   EXPECT_EQ(r.probes, 0u);
 }
 
 TEST(ElephantEdge, DemandExactlyEqualToFlow) {
+  GraphScratch scratch;
+  ElephantProbeResult probe_buf;
+  SplitWorkspace split_ws;
   Graph g = make_graph(2, {{0, 1}});
   NetworkState s(g);
   set_channel(s, g, 0, 42, 0);
-  const auto r = elephant_find_paths(g, 0, 1, 42, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 1, 42, 20, s, scratch, r);
   EXPECT_TRUE(r.feasible);
   FeeSchedule fees(g);
   NetworkState s2(g);
   set_channel(s2, g, 0, 42, 0);
-  const RouteResult rr = route_elephant(g, tx(0, 1, 42), s2, fees, {});
+  const RouteResult rr = route_elephant(g, tx(0, 1, 42), s2, fees, {}, scratch,
+                                        probe_buf, split_ws);
   EXPECT_TRUE(rr.success);
   EXPECT_NEAR(s2.balance(fwd(g, 0)), 0, 1e-9);
 }
@@ -71,27 +80,36 @@ TEST(ElephantEdge, ResidualReverseArcsEnableHigherFlow) {
   // The probing search must use residual reverse arcs like true
   // Edmonds-Karp: classic 4-node cross graph where greedy path choice
   // must be undone through the reverse arc.
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 2}});
   NetworkState s(g);
   for (int c = 0; c < 5; ++c) set_channel(s, g, c, 1, 0);
-  const auto r = elephant_find_paths(g, 0, 3, 2, 32, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 3, 2, 32, s, scratch, r);
   EXPECT_TRUE(r.feasible);
   EXPECT_NEAR(r.max_flow, 2, 1e-9);
 }
 
 TEST(ElephantEdge, SelfPaymentAndNonPositiveAmountFail) {
+  GraphScratch scratch;
+  ElephantProbeResult probe_buf;
+  SplitWorkspace split_ws;
   Graph g = make_graph(2, {{0, 1}});
   FeeSchedule fees(g);
   NetworkState s(g);
   set_channel(s, g, 0, 10, 10);
-  EXPECT_FALSE(route_elephant(g, tx(0, 0, 5), s, fees, {}).success);
-  EXPECT_FALSE(route_elephant(g, tx(0, 1, 0), s, fees, {}).success);
-  EXPECT_FALSE(route_elephant(g, tx(0, 1, -3), s, fees, {}).success);
+  EXPECT_FALSE(route_elephant(g, tx(0, 0, 5), s, fees, {}, scratch, probe_buf,
+                              split_ws).success);
+  EXPECT_FALSE(route_elephant(g, tx(0, 1, 0), s, fees, {}, scratch, probe_buf,
+                              split_ws).success);
+  EXPECT_FALSE(route_elephant(g, tx(0, 1, -3), s, fees, {}, scratch, probe_buf,
+                              split_ws).success);
 }
 
 // --- Mice rare paths --------------------------------------------------------------
 
 TEST(MiceEdge, SingleTablePathBehavesLikeSp) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -99,13 +117,16 @@ TEST(MiceEdge, SingleTablePathBehavesLikeSp) {
   set_channel(s, g, 1, 10, 0);
   MiceRoutingTable table(g, {1, 0, 0});
   Rng rng(1);
-  EXPECT_TRUE(route_mice(g, tx(0, 2, 10), s, fees, table, rng).success);
+  EXPECT_TRUE(route_mice(g, tx(0, 2, 10), s, fees, table, rng,
+                         scratch).success);
   // Exactly drained; a second identical payment must fail after probing.
-  const RouteResult r2 = route_mice(g, tx(0, 2, 10), s, fees, table, rng);
+  const RouteResult r2 = route_mice(g, tx(0, 2, 10), s, fees, table, rng,
+                                    scratch);
   EXPECT_FALSE(r2.success);
 }
 
 TEST(MiceEdge, ProbeMessageAccountingMatchesMeter) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -116,7 +137,8 @@ TEST(MiceEdge, ProbeMessageAccountingMatchesMeter) {
   // Demand exceeds capacity: the only path gets probed once (2 hops ->
   // 4 messages), then the payment fails.
   const std::uint64_t before = s.probe_messages();
-  const RouteResult r = route_mice(g, tx(0, 2, 50), s, fees, table, rng);
+  const RouteResult r = route_mice(g, tx(0, 2, 50), s, fees, table, rng,
+                                   scratch);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.probe_messages, s.probe_messages() - before);
   EXPECT_EQ(r.probe_messages, 4u);
@@ -124,6 +146,7 @@ TEST(MiceEdge, ProbeMessageAccountingMatchesMeter) {
 }
 
 TEST(MiceEdge, UnreachableReceiverFailsCleanly) {
+  GraphScratch scratch;
   Graph g(4);
   g.add_channel(0, 1);
   g.add_channel(2, 3);
@@ -131,7 +154,8 @@ TEST(MiceEdge, UnreachableReceiverFailsCleanly) {
   NetworkState s(g);
   MiceRoutingTable table(g, {4, 2, 0});
   Rng rng(3);
-  EXPECT_FALSE(route_mice(g, tx(0, 3, 1), s, fees, table, rng).success);
+  EXPECT_FALSE(route_mice(g, tx(0, 3, 1), s, fees, table, rng,
+                          scratch).success);
 }
 
 // --- Baseline rare paths ------------------------------------------------------------
@@ -275,15 +299,19 @@ TEST(TestbedEdge, SessionUnregisteredAfterFinish) {
 // --- Max-flow numeric edges ------------------------------------------------------------
 
 TEST(MaxFlowEdge, ZeroCapacityEverywhere) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
-  const auto r = edmonds_karp(g, 0, 2, [](EdgeId) { return 0.0; });
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 2, [](EdgeId) { return 0.0; }, -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 0.0);
   EXPECT_TRUE(r.paths.empty());
 }
 
 TEST(MaxFlowEdge, TinyCapacitiesBelowEpsilonIgnored) {
+  GraphScratch scratch;
   Graph g = make_graph(2, {{0, 1}});
-  const auto r = edmonds_karp(g, 0, 1, [](EdgeId) { return 1e-15; });
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 1, [](EdgeId) { return 1e-15; }, -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 0.0);
 }
 
@@ -292,10 +320,10 @@ TEST(MaxFlowEdge, TinyCapacitiesBelowEpsilonIgnored) {
 TEST(YenEdge, WeightedOrderDiffersFromHopOrder) {
   // Direct edge is expensive; the 2-hop detour is cheaper.
   Graph g = make_graph(3, {{0, 2}, {0, 1}, {1, 2}});
-  const EdgeWeight w = [&](EdgeId e) {
-    return g.channel_of(e) == 0 ? 10.0 : 1.0;
-  };
-  const auto paths = yen_k_shortest_paths(g, 0, 2, 2, w);
+  const auto w = [&](EdgeId e) { return g.channel_of(e) == 0 ? 10.0 : 1.0; };
+  GraphScratch scratch;
+  std::vector<Path> paths;
+  yen_core(g, 0, 2, 2, scratch, w, paths);
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].size(), 2u);  // cheap detour first
   EXPECT_EQ(paths[1].size(), 1u);

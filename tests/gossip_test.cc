@@ -283,7 +283,10 @@ TEST(Gossip, ViewDrivesRouterTopology) {
   gossip.run_to_quiescence();
   const Graph updated = gossip.view(0).to_graph(4);
   EXPECT_EQ(updated.num_channels(), 3u);
-  EXPECT_TRUE(reachable(updated, 0, 3));  // still reachable via 2
+  GraphScratch scratch;
+  Path p;
+  EXPECT_TRUE(bfs_path_core(updated, 0, 3, scratch, AdmitAll{}, p));
+  EXPECT_EQ(p.size(), 2u);  // still reachable via 2
 }
 
 }  // namespace

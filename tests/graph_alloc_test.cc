@@ -21,12 +21,12 @@
 #include "graph/bfs.h"
 #include "graph/dijkstra.h"
 #include "graph/edge_disjoint.h"
-#include "graph/maxflow.h"
 #include "graph/scratch.h"
 #include "graph/topology.h"
 #include "graph/yen.h"
 #include "ledger/fee_policy.h"
 #include "lp/fee_min.h"
+#include "maxflow.h"
 #include "routing/flash/elephant.h"
 #include "routing/flash/flash_router.h"
 #include "routing/shortest_path.h"

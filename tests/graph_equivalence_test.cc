@@ -8,22 +8,24 @@
 // workspace reused across queries behaves exactly like a fresh one.
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <queue>
 #include <set>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
 #include "graph/bfs.h"
 #include "graph/dijkstra.h"
 #include "graph/edge_disjoint.h"
-#include "graph/maxflow.h"
 #include "graph/scratch.h"
 #include "graph/topology.h"
 #include "graph/yen.h"
 #include "ledger/htlc.h"
 #include "ledger/network_state.h"
+#include "maxflow.h"
 #include "routing/flash/elephant.h"
 #include "routing/flash/flash_router.h"
 #include "routing/flash/mice.h"
@@ -38,16 +40,29 @@ namespace {
 // naming) so the rewrite has a fixed behavioral anchor.
 // ---------------------------------------------------------------------------
 
+// The pre-refactor API the references are written against: std::function
+// callbacks (empty = unit weight / admit all) and value results.
+using RefWeight = std::function<double(EdgeId)>;
+using RefFilter = std::function<bool(EdgeId)>;
+using RefCapacity = std::function<Amount(EdgeId)>;
+using RefCapacityMap = std::unordered_map<EdgeId, Amount>;
+
+struct RefDijkstraResult {
+  Path path;  // empty when t unreachable (or s == t)
+  double distance = std::numeric_limits<double>::infinity();
+  bool found = false;
+};
+
 struct RefQueueEntry {
   double dist;
   NodeId node;
   bool operator>(const RefQueueEntry& o) const { return dist > o.dist; }
 };
 
-DijkstraResult ref_dijkstra(const Graph& g, NodeId s, NodeId t,
-                            const EdgeWeight& weight = {},
-                            const std::vector<char>& banned_nodes = {}) {
-  DijkstraResult result;
+RefDijkstraResult ref_dijkstra(const Graph& g, NodeId s, NodeId t,
+                               const RefWeight& weight = {},
+                               const std::vector<char>& banned_nodes = {}) {
+  RefDijkstraResult result;
   if (!banned_nodes.empty() &&
       (banned_nodes[s] || (t != kInvalidNode && banned_nodes[t]))) {
     return result;
@@ -97,7 +112,7 @@ DijkstraResult ref_dijkstra(const Graph& g, NodeId s, NodeId t,
 }
 
 std::vector<EdgeId> ref_bfs_parents(const Graph& g, NodeId src, NodeId stop_at,
-                                    const EdgeFilter& admit) {
+                                    const RefFilter& admit) {
   std::vector<EdgeId> parent(g.num_nodes(), kInvalidEdge);
   std::vector<char> seen(g.num_nodes(), 0);
   std::deque<NodeId> queue;
@@ -120,7 +135,7 @@ std::vector<EdgeId> ref_bfs_parents(const Graph& g, NodeId src, NodeId stop_at,
 }
 
 Path ref_bfs_path(const Graph& g, NodeId s, NodeId t,
-                  const EdgeFilter& admit = {}) {
+                  const RefFilter& admit = {}) {
   if (s == t) return {};
   const auto parent = ref_bfs_parents(g, s, t, admit);
   if (parent[t] == kInvalidEdge) return {};
@@ -135,7 +150,7 @@ Path ref_bfs_path(const Graph& g, NodeId s, NodeId t,
   return path;
 }
 
-double ref_path_cost(const Path& p, const EdgeWeight& weight) {
+double ref_path_cost(const Path& p, const RefWeight& weight) {
   if (!weight) return static_cast<double>(p.size());
   double c = 0.0;
   for (EdgeId e : p) c += weight(e);
@@ -143,11 +158,11 @@ double ref_path_cost(const Path& p, const EdgeWeight& weight) {
 }
 
 std::vector<Path> ref_yen(const Graph& g, NodeId s, NodeId t, std::size_t k,
-                          const EdgeWeight& weight = {}) {
+                          const RefWeight& weight = {}) {
   std::vector<Path> result;
   if (k == 0 || s == t) return result;
 
-  const DijkstraResult first = ref_dijkstra(g, s, t, weight);
+  const RefDijkstraResult first = ref_dijkstra(g, s, t, weight);
   if (!first.found) return result;
   result.push_back(first.path);
 
@@ -174,11 +189,11 @@ std::vector<Path> ref_yen(const Graph& g, NodeId s, NodeId t, std::size_t k,
       std::vector<char> banned_nodes(g.num_nodes(), 0);
       for (std::size_t j = 0; j < i; ++j) banned_nodes[prev_nodes[j]] = 1;
 
-      const EdgeWeight spur_weight = [&](EdgeId e) -> double {
+      const RefWeight spur_weight = [&](EdgeId e) -> double {
         if (banned_edges.count(e)) return kEdgeBanned;
         return weight ? weight(e) : 1.0;
       };
-      const DijkstraResult spur =
+      const RefDijkstraResult spur =
           ref_dijkstra(g, spur_node, t, spur_weight, banned_nodes);
       if (!spur.found) continue;
 
@@ -202,7 +217,7 @@ std::vector<Path> ref_edge_disjoint(const Graph& g, NodeId s, NodeId t,
   std::vector<Path> paths;
   if (s == t) return paths;
   std::vector<char> used(g.num_edges(), 0);
-  const EdgeFilter admit = [&](EdgeId e) { return !used[e]; };
+  const RefFilter admit = [&](EdgeId e) { return !used[e]; };
   while (paths.size() < k) {
     Path p = ref_bfs_path(g, s, t, admit);
     if (p.empty()) break;
@@ -213,7 +228,7 @@ std::vector<Path> ref_edge_disjoint(const Graph& g, NodeId s, NodeId t,
 }
 
 MaxFlowResult ref_edmonds_karp(const Graph& g, NodeId s, NodeId t,
-                               const EdgeCapacity& capacity, Amount limit = -1,
+                               const RefCapacity& capacity, Amount limit = -1,
                                std::size_t max_paths = 0) {
   MaxFlowResult result;
   result.edge_flow.assign(g.num_edges(), 0);
@@ -285,7 +300,7 @@ struct RefProbeResult {
   bool feasible = false;
   std::vector<Path> paths;
   std::vector<Amount> bottlenecks;
-  CapacityMap capacities;
+  RefCapacityMap capacities;
   std::vector<std::pair<EdgeId, Amount>> insertion_order;
   Amount max_flow = 0;
   std::uint32_t probes = 0;
@@ -298,7 +313,7 @@ RefProbeResult ref_elephant_find_paths(const Graph& g, NodeId s, NodeId t,
   RefProbeResult result;
   if (s == t || demand <= 0) return result;
 
-  CapacityMap residual;
+  RefCapacityMap residual;
   auto residual_admits = [&](EdgeId e) {
     const auto it = residual.find(e);
     return it == residual.end() || it->second > kEps;
@@ -375,7 +390,7 @@ const Graph& ripple_graph() {  // the fig06/fig07 simulation topology
 }
 
 /// Deterministic non-uniform weights (fee-rate-like) for weighted queries.
-EdgeWeight fee_like_weight() { return testing::DeterministicFeeWeight{}; }
+RefWeight fee_like_weight() { return testing::DeterministicFeeWeight{}; }
 
 std::pair<NodeId, NodeId> random_pair(Rng& rng, const Graph& g) {
   return {static_cast<NodeId>(rng.next_below(g.num_nodes())),
@@ -388,6 +403,17 @@ void expect_same_paths(const std::vector<Path>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << "path " << i << " differs";
   }
+}
+
+/// The BFS tree left in `scratch`, dense: the parent edge of every node of
+/// `g` (kInvalidEdge for the root and unreached nodes), as ref_bfs_parents
+/// returns it.
+std::vector<EdgeId> parents_of(const GraphScratch& scratch, const Graph& g) {
+  std::vector<EdgeId> parent(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    parent[v] = scratch.parent.get_or(v, kInvalidEdge);
+  }
+  return parent;
 }
 
 // ---------------------------------------------------------------------------
@@ -427,24 +453,28 @@ TEST(CsrEquivalence, FinalizePreservesAdjacencyOrder) {
 
 TEST(DijkstraEquivalence, UnitAndWeighted) {
   const Graph& g = medium_graph();
-  const EdgeWeight w = fee_like_weight();
+  GraphScratch scratch;
   Rng rng(31);
   for (int i = 0; i < 200; ++i) {
     const auto [s, t] = random_pair(rng, g);
-    for (const EdgeWeight* weight : {(const EdgeWeight*)nullptr, &w}) {
-      const EdgeWeight& wref = weight ? *weight : EdgeWeight{};
-      const DijkstraResult want = ref_dijkstra(g, s, t, wref);
-      const DijkstraResult got = dijkstra(g, s, t, wref);
+    auto check = [&](auto weight, const RefWeight& wref) {
+      const RefDijkstraResult want = ref_dijkstra(g, s, t, wref);
+      Path got_path;
+      const DijkstraCoreResult got =
+          dijkstra_core(g, s, t, scratch, weight, false, got_path);
       ASSERT_EQ(got.found, want.found) << "s=" << s << " t=" << t;
-      EXPECT_EQ(got.path, want.path);
+      EXPECT_EQ(got_path, want.path);
       // Bit-identical float: relaxations happen in the same order.
       EXPECT_EQ(got.distance, want.distance);
-    }
+    };
+    check(UnitWeight{}, RefWeight{});
+    check(testing::DeterministicFeeWeight{}, fee_like_weight());
   }
 }
 
 TEST(DijkstraEquivalence, BannedNodes) {
   const Graph& g = small_world_graph();
+  GraphScratch scratch;
   Rng rng(32);
   for (int i = 0; i < 100; ++i) {
     const auto [s, t] = random_pair(rng, g);
@@ -452,10 +482,17 @@ TEST(DijkstraEquivalence, BannedNodes) {
     for (int b = 0; b < 12; ++b) {
       banned[rng.next_below(g.num_nodes())] = 1;
     }
-    const DijkstraResult want = ref_dijkstra(g, s, t, {}, banned);
-    const DijkstraResult got = dijkstra(g, s, t, {}, banned);
+    const RefDijkstraResult want = ref_dijkstra(g, s, t, {}, banned);
+    scratch.node_ban.reset(g.num_nodes());
+    scratch.edge_ban.reset(g.num_edges());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (banned[v]) scratch.node_ban.set(v, 1);
+    }
+    Path got_path;
+    const DijkstraCoreResult got =
+        dijkstra_core(g, s, t, scratch, UnitWeight{}, true, got_path);
     ASSERT_EQ(got.found, want.found);
-    EXPECT_EQ(got.path, want.path);
+    EXPECT_EQ(got_path, want.path);
     EXPECT_EQ(got.distance, want.distance);
   }
 }
@@ -463,10 +500,9 @@ TEST(DijkstraEquivalence, BannedNodes) {
 TEST(DijkstraEquivalence, HopWeightsMatchFullLoop) {
   // UnitWeight and MaskedUnitWeight run dijkstra_core's hop-count loop,
   // which stops at t's first label. It must agree with the full loop (the
-  // same costs as a std::function behind LegacyCallable, which is no hop
-  // weight) and with ref_dijkstra under node and edge bans and cutoffs
-  // below, at and above dist(t), on a finalized graph and on a copy
-  // without CSR.
+  // same costs through a plain lambda, which is no hop weight) and with
+  // ref_dijkstra under node and edge bans and cutoffs below, at and above
+  // dist(t), on a finalized graph and on a copy without CSR.
   const Graph& finalized = medium_graph();
   Graph copy = finalized;
   copy.add_node();  // isolated; drops the CSR (out_edges()/to() loop)
@@ -476,8 +512,8 @@ TEST(DijkstraEquivalence, HopWeightsMatchFullLoop) {
   std::vector<unsigned char> open(finalized.num_edges());
   for (auto& o : open) o = rng.chance(0.1) ? 0 : 1;
   const MaskedUnitWeight masked{open.data()};
-  const EdgeWeight unit_fn = [](EdgeId) { return 1.0; };
-  const EdgeWeight masked_fn = [&](EdgeId e) {
+  const RefWeight unit_fn = [](EdgeId) { return 1.0; };
+  const RefWeight masked_fn = [&](EdgeId e) {
     return open[e] ? 1.0 : kEdgeBanned;
   };
   const double inf = std::numeric_limits<double>::infinity();
@@ -502,11 +538,11 @@ TEST(DijkstraEquivalence, HopWeightsMatchFullLoop) {
         edge_ban[e] = 1;
         scratch.edge_ban.set(e, 1);
       }
-      auto check = [&](auto hop_weight, const EdgeWeight& same_fn) {
-        const EdgeWeight ref_fn = [&](EdgeId e) {
+      auto check = [&](auto hop_weight, const RefWeight& same_fn) {
+        const RefWeight ref_fn = [&](EdgeId e) {
           return edge_ban[e] ? kEdgeBanned : same_fn(e);
         };
-        const DijkstraResult want = ref_dijkstra(*g, s, t, ref_fn, node_ban);
+        const RefDijkstraResult want = ref_dijkstra(*g, s, t, ref_fn, node_ban);
         if (want.found && use_bans) ++found_under_bans;
         const double d = want.distance;
         const std::vector<double> cutoffs =
@@ -517,7 +553,7 @@ TEST(DijkstraEquivalence, HopWeightsMatchFullLoop) {
           const DijkstraCoreResult got = dijkstra_core(
               *g, s, t, scratch, hop_weight, use_bans, got_path, cutoff);
           const DijkstraCoreResult full = dijkstra_core(
-              *g, s, t, scratch, LegacyCallable<EdgeWeight>{&same_fn},
+              *g, s, t, scratch, [&same_fn](EdgeId e) { return same_fn(e); },
               use_bans, full_path, cutoff);
           const bool want_found = want.found && d <= cutoff;
           ASSERT_EQ(got.found, want_found)
@@ -543,22 +579,30 @@ TEST(DijkstraEquivalence, DistancesAllTargets) {
   // weight, so every reachable node is settled.
   const Graph& g = medium_graph();
   const double inf = std::numeric_limits<double>::infinity();
-  for (const EdgeWeight& w : {EdgeWeight{}, fee_like_weight()}) {
-    const auto got = dijkstra_distances(g, 7, w);
+  GraphScratch scratch;
+  auto check = [&](auto weight, const RefWeight& w) {
+    dijkstra_distances_core(g, 7, scratch, weight);
     for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      const DijkstraResult single = ref_dijkstra(g, 7, t, w);
-      EXPECT_EQ(got[t], single.found || t == 7 ? single.distance : inf);
+      const RefDijkstraResult single = ref_dijkstra(g, 7, t, w);
+      EXPECT_EQ(scratch.dist.get_or(t, inf),
+                single.found || t == 7 ? single.distance : inf);
     }
-  }
+  };
+  check(UnitWeight{}, RefWeight{});
+  check(testing::DeterministicFeeWeight{}, fee_like_weight());
 }
 
 TEST(DijkstraHardening, OutOfRangeTargetsReturnNotFound) {
   const Graph& g = small_world_graph();
-  EXPECT_FALSE(dijkstra(g, 0, kInvalidNode).found);
-  EXPECT_FALSE(dijkstra(g, kInvalidNode, 0).found);
-  EXPECT_FALSE(
-      dijkstra(g, 0, static_cast<NodeId>(g.num_nodes())).found);
-  EXPECT_TRUE(dijkstra(g, 0, 1).found);
+  GraphScratch scratch;
+  auto found = [&](NodeId s, NodeId t) {
+    Path path;
+    return dijkstra_core(g, s, t, scratch, UnitWeight{}, false, path).found;
+  };
+  EXPECT_FALSE(found(0, kInvalidNode));
+  EXPECT_FALSE(found(kInvalidNode, 0));
+  EXPECT_FALSE(found(0, static_cast<NodeId>(g.num_nodes())));
+  EXPECT_TRUE(found(0, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -567,27 +611,37 @@ TEST(DijkstraHardening, OutOfRangeTargetsReturnNotFound) {
 
 TEST(BfsEquivalence, PathsDistancesTrees) {
   const Graph& g = medium_graph();
+  GraphScratch scratch;
   Rng rng(41);
-  const EdgeFilter drop_some = [](EdgeId e) { return e % 7 != 3; };
+  const auto drop_some_fn = [](EdgeId e) { return e % 7 != 3; };
+  const RefFilter drop_some = drop_some_fn;
+  auto core_path = [&](NodeId s, NodeId t, auto admit) {
+    Path p;
+    bfs_path_core(g, s, t, scratch, admit, p);
+    return p;
+  };
   for (int i = 0; i < 150; ++i) {
     const auto [s, t] = random_pair(rng, g);
-    EXPECT_EQ(bfs_path(g, s, t), ref_bfs_path(g, s, t));
-    EXPECT_EQ(bfs_path(g, s, t, drop_some), ref_bfs_path(g, s, t, drop_some));
+    EXPECT_EQ(core_path(s, t, AdmitAll{}), ref_bfs_path(g, s, t));
+    EXPECT_EQ(core_path(s, t, drop_some_fn),
+              ref_bfs_path(g, s, t, drop_some));
   }
   // Full-exploration outputs.
   for (NodeId src : {NodeId{0}, NodeId{13}, NodeId{299}}) {
-    EXPECT_EQ(bfs_tree(g, src), ref_bfs_parents(g, src, kInvalidNode, {}));
-    EXPECT_EQ(bfs_tree(g, src, drop_some),
+    bfs_core(g, src, kInvalidNode, scratch, drop_some_fn);
+    EXPECT_EQ(parents_of(scratch, g),
               ref_bfs_parents(g, src, kInvalidNode, drop_some));
-    const auto dist = bfs_distances(g, src);
-    const auto tree = bfs_tree(g, src);
+    bfs_core<true>(g, src, kInvalidNode, scratch, AdmitAll{});
+    const auto tree = parents_of(scratch, g);
+    EXPECT_EQ(tree, ref_bfs_parents(g, src, kInvalidNode, {}));
+    const auto& dist = scratch.hops;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (v == src) {
-        EXPECT_EQ(dist[v], 0u);
+        EXPECT_EQ(dist.get(v), 0u);
       } else if (tree[v] == kInvalidEdge) {
-        EXPECT_EQ(dist[v], kUnreachable);
+        EXPECT_EQ(dist.get_or(v, kUnreachable), kUnreachable);
       } else {
-        EXPECT_EQ(dist[v], dist[g.from(tree[v])] + 1);
+        EXPECT_EQ(dist.get(v), dist.get(g.from(tree[v])) + 1);
       }
     }
   }
@@ -595,23 +649,14 @@ TEST(BfsEquivalence, PathsDistancesTrees) {
 
 TEST(BfsHardening, OutOfRangeEndpoints) {
   const Graph& g = small_world_graph();
-  EXPECT_TRUE(bfs_path(g, 0, kInvalidNode).empty());
-  EXPECT_TRUE(bfs_path(g, kInvalidNode, 0).empty());
-  EXPECT_FALSE(reachable(g, 0, kInvalidNode));
-  EXPECT_FALSE(reachable(g, kInvalidNode, 0));
-}
-
-TEST(LegacyApiReentrancy, FilterCallbackMayCallLegacyApi) {
-  // The legacy wrappers share a thread-local scratch; a user filter that
-  // itself calls a legacy graph function must get a private scratch (see
-  // LegacyScratchLease) instead of clobbering the outer query.
-  const Graph& g = small_world_graph();
-  const EdgeFilter admit = [&](EdgeId e) {
-    return reachable(g, g.from(e), g.to(e));  // nested legacy call, true
-  };
-  for (NodeId t : {NodeId{5}, NodeId{60}, NodeId{119}}) {
-    EXPECT_EQ(bfs_path(g, 0, t, admit), ref_bfs_path(g, 0, t, {}));
-  }
+  GraphScratch scratch;
+  Path p;
+  EXPECT_FALSE(bfs_path_core(g, 0, kInvalidNode, scratch, AdmitAll{}, p));
+  EXPECT_FALSE(bfs_path_core(g, kInvalidNode, 0, scratch, AdmitAll{}, p));
+  EXPECT_TRUE(p.empty());
+  // The search itself is a no-op from an out-of-range source.
+  bfs_core(g, kInvalidNode, 0, scratch, AdmitAll{});
+  EXPECT_FALSE(scratch.parent.contains(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -620,25 +665,30 @@ TEST(LegacyApiReentrancy, FilterCallbackMayCallLegacyApi) {
 
 TEST(YenEquivalence, MediumTopologyUnitWeights) {
   const Graph& g = medium_graph();
+  GraphScratch scratch;
+  std::vector<Path> out;
   Rng rng(51);
   for (int i = 0; i < 40; ++i) {
     const auto [s, t] = random_pair(rng, g);
     if (s == t) continue;
     for (std::size_t k : {std::size_t{4}, std::size_t{8}}) {
-      expect_same_paths(yen_k_shortest_paths(g, s, t, k), ref_yen(g, s, t, k));
+      yen_core(g, s, t, k, scratch, UnitWeight{}, out);
+      expect_same_paths(out, ref_yen(g, s, t, k));
     }
   }
 }
 
 TEST(YenEquivalence, MediumTopologyFeeWeights) {
   const Graph& g = medium_graph();
-  const EdgeWeight w = fee_like_weight();
+  const RefWeight w = fee_like_weight();
+  GraphScratch scratch;
+  std::vector<Path> out;
   Rng rng(52);
   for (int i = 0; i < 25; ++i) {
     const auto [s, t] = random_pair(rng, g);
     if (s == t) continue;
-    expect_same_paths(yen_k_shortest_paths(g, s, t, 6, w),
-                      ref_yen(g, s, t, 6, w));
+    yen_core(g, s, t, 6, scratch, testing::DeterministicFeeWeight{}, out);
+    expect_same_paths(out, ref_yen(g, s, t, 6, w));
   }
 }
 
@@ -650,16 +700,18 @@ TEST(YenEquivalence, RippleScaleTopology) {
   std::vector<unsigned char> open(g.num_edges());
   for (auto& o : open) o = mask_rng.chance(0.05) ? 0 : 1;
   const MaskedUnitWeight masked{open.data()};
-  const EdgeWeight masked_fn = [&](EdgeId e) {
+  const RefWeight masked_fn = [&](EdgeId e) {
     return open[e] ? 1.0 : kEdgeBanned;
   };
   GraphScratch scratch;
+  std::vector<Path> out;
   std::vector<Path> masked_out;
   Rng rng(53);
   for (int i = 0; i < 8; ++i) {
     const auto [s, t] = random_pair(rng, g);
     if (s == t) continue;
-    expect_same_paths(yen_k_shortest_paths(g, s, t, 8), ref_yen(g, s, t, 8));
+    yen_core(g, s, t, 8, scratch, UnitWeight{}, out);
+    expect_same_paths(out, ref_yen(g, s, t, 8));
     yen_core(g, s, t, 8, scratch, masked, masked_out);
     expect_same_paths(masked_out, ref_yen(g, s, t, 8, masked_fn));
   }
@@ -667,12 +719,14 @@ TEST(YenEquivalence, RippleScaleTopology) {
 
 TEST(YenEquivalence, SmallWorldManyPaths) {
   const Graph& g = small_world_graph();
+  GraphScratch scratch;
+  std::vector<Path> out;
   Rng rng(54);
   for (int i = 0; i < 10; ++i) {
     const auto [s, t] = random_pair(rng, g);
     if (s == t) continue;
-    expect_same_paths(yen_k_shortest_paths(g, s, t, 16),
-                      ref_yen(g, s, t, 16));
+    yen_core(g, s, t, 16, scratch, UnitWeight{}, out);
+    expect_same_paths(out, ref_yen(g, s, t, 16));
   }
 }
 
@@ -682,12 +736,14 @@ TEST(YenEquivalence, SmallWorldManyPaths) {
 
 TEST(EdgeDisjointEquivalence, MediumTopology) {
   const Graph& g = medium_graph();
+  GraphScratch scratch;
+  std::vector<Path> out;
   Rng rng(61);
   for (int i = 0; i < 60; ++i) {
     const auto [s, t] = random_pair(rng, g);
     if (s == t) continue;
-    expect_same_paths(edge_disjoint_shortest_paths(g, s, t, 4),
-                      ref_edge_disjoint(g, s, t, 4));
+    edge_disjoint_core(g, s, t, 4, scratch, out);
+    expect_same_paths(out, ref_edge_disjoint(g, s, t, 4));
   }
 }
 
@@ -696,7 +752,8 @@ TEST(MaxflowEquivalence, RandomCapacities) {
   Rng caps_rng(62);
   std::vector<Amount> cap(g.num_edges());
   for (auto& c : cap) c = caps_rng.uniform(0.0, 50.0);
-  const EdgeCapacity cap_fn = [&](EdgeId e) { return cap[e]; };
+  const RefCapacity cap_fn = [&](EdgeId e) { return cap[e]; };
+  GraphScratch scratch;
   Rng rng(63);
   for (int i = 0; i < 40; ++i) {
     const auto [s, t] = random_pair(rng, g);
@@ -705,7 +762,9 @@ TEST(MaxflowEquivalence, RandomCapacities) {
              {-1, 0}, {-1, 5}, {40, 0}, {25, 3}}) {
       const MaxFlowResult want =
           ref_edmonds_karp(g, s, t, cap_fn, limit, max_paths);
-      const MaxFlowResult got = edmonds_karp(g, s, t, cap_fn, limit, max_paths);
+      MaxFlowResult got;
+      edmonds_karp_core(g, s, t, [&](EdgeId e) { return cap[e]; }, limit,
+                        max_paths, scratch, got);
       EXPECT_EQ(got.value, want.value);  // bit-identical accumulation
       EXPECT_EQ(got.edge_flow, want.edge_flow);
       EXPECT_EQ(got.path_amounts, want.path_amounts);
@@ -727,14 +786,15 @@ TEST(ElephantEquivalence, ProbeLoopBitIdentical) {
   state_a.assign_lognormal_split(250, 1.0, init_rng_a);
   state_b.assign_lognormal_split(250, 1.0, init_rng_b);
 
+  GraphScratch scratch;
   Rng rng(72);
   for (int i = 0; i < 30; ++i) {
     const auto [s, t] = random_pair(rng, g);
     const Amount demand = rng.uniform(10.0, 2000.0);
     const RefProbeResult want =
         ref_elephant_find_paths(g, s, t, demand, 20, state_a);
-    const ElephantProbeResult got =
-        elephant_find_paths(g, s, t, demand, 20, state_b);
+    ElephantProbeResult got;
+    elephant_find_paths_into(g, s, t, demand, 20, state_b, scratch, got);
     EXPECT_EQ(got.feasible, want.feasible);
     EXPECT_EQ(got.max_flow, want.max_flow);
     EXPECT_EQ(got.probes, want.probes);
@@ -793,7 +853,8 @@ RouteResult ref_route_mice(const Graph& g, const Transaction& tx,
   if (tx.amount <= 0 || tx.sender == tx.receiver) return result;
 
   const std::uint64_t msgs_before = state.probe_messages();
-  std::vector<Path> paths = table.lookup(tx.sender, tx.receiver);
+  GraphScratch scratch;
+  std::vector<Path> paths = table.lookup(tx.sender, tx.receiver, scratch);
   if (paths.empty()) return result;
 
   std::vector<std::size_t> order(paths.size());
@@ -890,7 +951,7 @@ TEST(MiceEquivalence, DeferredReplacementMatchesLegacySimulation) {
 
 TEST(ScratchReuse, BackToBackQueriesMatchFreshScratches) {
   const Graph& g = medium_graph();
-  const EdgeWeight w = fee_like_weight();
+  const RefWeight w = fee_like_weight();
   GraphScratch shared;
   Rng rng(91);
   for (int i = 0; i < 60; ++i) {

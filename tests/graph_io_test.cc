@@ -43,6 +43,58 @@ TEST(EdgeListFile, MissingFileThrows) {
                std::runtime_error);
 }
 
+/// Asserts that `read` rejects `body` with a std::runtime_error whose
+/// message contains `want` (the line number included).
+template <typename Reader>
+void expect_error(Reader read, const std::string& body,
+                  const std::string& want) {
+  std::istringstream is(body);
+  try {
+    read(is);
+    ADD_FAILURE() << "accepted: " << body;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+void expect_edge_list_error(const std::string& body, const std::string& want) {
+  expect_error([](std::istream& is) { read_edge_list(is); }, body, want);
+}
+
+void expect_snapshot_error(const std::string& body, const std::string& want) {
+  expect_error([](std::istream& is) { read_lightning_snapshot(is); }, body,
+               want);
+}
+
+TEST(EdgeList, SelfChannelThrowsWithLineNumber) {
+  // Used to escape from Graph::add_channel as std::invalid_argument.
+  expect_edge_list_error("0,1\n1,1\n", "edge list line 2: self channel");
+}
+
+TEST(EdgeList, BadNodeCountThrowsWithLineNumber) {
+  // Counts above the id space used to escape Graph(n) as std::length_error
+  // and std::bad_alloc; "nodes,3" then "0,5" used to load a 6-node graph.
+  expect_edge_list_error("nodes,18446744073709551615\n",
+                         "edge list line 1: node count exceeds");
+  expect_edge_list_error("# big\nnodes,8589934592\n0,1\n",
+                         "edge list line 2: node count exceeds");
+  expect_edge_list_error("nodes,3\n0,5\n",
+                         "edge list line 2: node id exceeds declared");
+  expect_edge_list_error("nodes,3\n0,1\n2,3\n",
+                         "edge list line 3: node id exceeds declared");
+  expect_edge_list_error("0,5\nnodes,3\n",
+                         "edge list line 2: node count below an earlier");
+}
+
+TEST(EdgeList, DeclaredNodeCountKeepsIsolatedNodes) {
+  std::istringstream is("0,1\nnodes,4\n1,3\n");
+  const Graph g = read_edge_list(is);
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.num_channels(), 2u);
+  EXPECT_EQ(g.out_degree(2), 0u);
+}
+
 TEST(EdgeList, OutOfRangeNodeIdThrowsWithLineNumber) {
   // 2^32 and 2^33 + 1 used to wrap to nodes 0 and 1. (Not kInvalidNode
   // itself: if the check broke, that id would size a 2^32-node graph.)
@@ -153,6 +205,17 @@ TEST(Snapshot, SelfChannelThrows) {
 
 TEST(Snapshot, NodeIdBeyondDeclaredCountThrows) {
   expect_rejects("nodes,2\nchannel,0,2,10,10,0,0,0,0\n", "id out of range");
+}
+
+TEST(Snapshot, BadNodeCountThrowsWithLineNumber) {
+  // Each used to parse; to_graph() then threw std::length_error,
+  // std::bad_alloc or std::out_of_range.
+  expect_snapshot_error("nodes,18446744073709551615\n",
+                        "snapshot line 1: node count exceeds");
+  expect_snapshot_error("channel,0,1,1,1,0,0,0,0\nnodes,4294967296\n",
+                        "snapshot line 2: node count exceeds");
+  expect_snapshot_error("channel,0,5,1,1,0,0,0,0\nnodes,3\n",
+                        "snapshot line 2: node count below an earlier");
 }
 
 TEST(Snapshot, OverflowCapacityThrows) {

@@ -1,6 +1,6 @@
 // Tests for classical Edmonds-Karp max flow (the oracle that Algorithm 1's
 // probing variant is validated against).
-#include "graph/maxflow.h"
+#include "maxflow.h"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@ namespace {
 using testing::make_graph;
 
 /// Capacity function from a per-channel (fwd, bwd) table.
-EdgeCapacity caps_of(const Graph& g, std::vector<std::pair<Amount, Amount>> t) {
+auto caps_of(const Graph& g, std::vector<std::pair<Amount, Amount>> t) {
   return [&g, t = std::move(t)](EdgeId e) {
     const auto& [f, b] = t.at(g.channel_of(e));
     return (e & 1) == 0 ? f : b;
@@ -26,7 +26,9 @@ EdgeCapacity caps_of(const Graph& g, std::vector<std::pair<Amount, Amount>> t) {
 
 TEST(MaxFlow, SingleEdge) {
   Graph g = make_graph(2, {{0, 1}});
-  const auto r = edmonds_karp(g, 0, 1, caps_of(g, {{5, 3}}));
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 1, caps_of(g, {{5, 3}}), -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 5.0);
   ASSERT_EQ(r.paths.size(), 1u);
   EXPECT_DOUBLE_EQ(r.path_amounts[0], 5.0);
@@ -34,14 +36,19 @@ TEST(MaxFlow, SingleEdge) {
 
 TEST(MaxFlow, SeriesBottleneck) {
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
-  const auto r = edmonds_karp(g, 0, 2, caps_of(g, {{10, 0}, {4, 0}}));
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 2, caps_of(g, {{10, 0}, {4, 0}}), -1, 0, scratch,
+                    r);
   EXPECT_DOUBLE_EQ(r.value, 4.0);
 }
 
 TEST(MaxFlow, ParallelPathsAdd) {
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
-  const auto r =
-      edmonds_karp(g, 0, 3, caps_of(g, {{3, 0}, {3, 0}, {4, 0}, {4, 0}}));
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 3, caps_of(g, {{3, 0}, {3, 0}, {4, 0}, {4, 0}}),
+                    -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 7.0);
   EXPECT_EQ(r.paths.size(), 2u);
 }
@@ -58,7 +65,9 @@ TEST(MaxFlow, Figure5aSharedBottleneck) {
                            {0, 4},   // 1-5 cap 30
                            {4, 3}}); // 5-4 cap 30
   const auto cap = [](EdgeId e) { return (e & 1) == 0 ? 30.0 : 0.0; };
-  const auto r = edmonds_karp(g, 0, 5, cap);
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 5, cap, -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 60.0);
 }
 
@@ -79,7 +88,9 @@ TEST(MaxFlow, Figure5bAbundantSharedLink) {
     if (c >= 5) return 20.0;
     return 30.0;
   };
-  const auto r = edmonds_karp(g, 0, 5, cap);
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 5, cap, -1, 0, scratch, r);
   // 30 + 30 through the hub, plus 20 via 1-5-4 merging into 4-6's
   // remaining... 4-6 carries min(30, 20+30-30)=... total is 80:
   // paths 1-2-3-6 (30), 1-2-4-6 (30), 1-5-4-6 (min(20,20,0 left on 4-6))
@@ -92,32 +103,38 @@ TEST(MaxFlow, Figure5bAbundantSharedLink) {
 
 TEST(MaxFlow, ZeroWhenSourceIsSink) {
   Graph g = make_graph(2, {{0, 1}});
-  const auto r = edmonds_karp(g, 0, 0, caps_of(g, {{5, 5}}));
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 0, caps_of(g, {{5, 5}}), -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 0.0);
 }
 
 TEST(MaxFlow, ZeroWhenDisconnected) {
   Graph g(3);
   g.add_channel(0, 1);
-  const auto r = edmonds_karp(g, 0, 2, [](EdgeId) { return 1.0; });
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 2, [](EdgeId) { return 1.0; }, -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 0.0);
   EXPECT_TRUE(r.paths.empty());
 }
 
 TEST(MaxFlow, LimitStopsEarly) {
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
-  const auto r = edmonds_karp(g, 0, 3,
-                              caps_of(g, {{3, 0}, {3, 0}, {4, 0}, {4, 0}}),
-                              /*limit=*/3.0);
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 3, caps_of(g, {{3, 0}, {3, 0}, {4, 0}, {4, 0}}),
+                    /*limit=*/3.0, /*max_paths=*/0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 3.0);
   EXPECT_EQ(r.paths.size(), 1u);
 }
 
 TEST(MaxFlow, MaxPathsCapsIterations) {
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
-  const auto r = edmonds_karp(g, 0, 3,
-                              caps_of(g, {{3, 0}, {3, 0}, {4, 0}, {4, 0}}),
-                              /*limit=*/-1, /*max_paths=*/1);
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 3, caps_of(g, {{3, 0}, {3, 0}, {4, 0}, {4, 0}}),
+                    /*limit=*/-1, /*max_paths=*/1, scratch, r);
   EXPECT_EQ(r.paths.size(), 1u);
   EXPECT_DOUBLE_EQ(r.value, 3.0);
 }
@@ -127,7 +144,9 @@ TEST(MaxFlow, ReverseResidualsEnableRerouting) {
   // 0->1 (1), 0->2 (1), 1->3 (1), 2->3 (1), 1->2 (1). Max flow 0->3 = 2.
   Graph g = make_graph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 2}});
   const auto cap = [](EdgeId e) { return (e & 1) == 0 ? 1.0 : 0.0; };
-  const auto r = edmonds_karp(g, 0, 3, cap);
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 3, cap, -1, 0, scratch, r);
   EXPECT_DOUBLE_EQ(r.value, 2.0);
 }
 
@@ -136,8 +155,10 @@ TEST(MaxFlow, FlowConservationAtInteriorNodes) {
   Graph g = watts_strogatz(30, 6, 0.3, rng);
   std::vector<Amount> cap(g.num_edges());
   for (auto& c : cap) c = rng.uniform(0.0, 10.0);
-  const auto r =
-      edmonds_karp(g, 0, 17, [&](EdgeId e) { return cap[e]; });
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 0, 17, [&](EdgeId e) { return cap[e]; },
+                    -1, 0, scratch, r);
   // Net flow out of every interior node is zero.
   std::vector<Amount> net(g.num_nodes(), 0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -157,7 +178,10 @@ TEST(MaxFlow, FlowRespectsCapacities) {
   Graph g = watts_strogatz(30, 6, 0.3, rng);
   std::vector<Amount> cap(g.num_edges());
   for (auto& c : cap) c = rng.uniform(0.0, 10.0);
-  const auto r = edmonds_karp(g, 3, 21, [&](EdgeId e) { return cap[e]; });
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 3, 21, [&](EdgeId e) { return cap[e]; },
+                    -1, 0, scratch, r);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_LE(r.edge_flow[e], cap[e] + 1e-9);
     EXPECT_GE(r.edge_flow[e], -1e-9);
@@ -169,7 +193,10 @@ TEST(MaxFlow, PathDecompositionSumsToValue) {
   Graph g = watts_strogatz(25, 4, 0.2, rng);
   std::vector<Amount> cap(g.num_edges());
   for (auto& c : cap) c = rng.uniform(1.0, 5.0);
-  const auto r = edmonds_karp(g, 1, 13, [&](EdgeId e) { return cap[e]; });
+  GraphScratch scratch;
+  MaxFlowResult r;
+  edmonds_karp_core(g, 1, 13, [&](EdgeId e) { return cap[e]; },
+                    -1, 0, scratch, r);
   Amount sum = 0;
   for (Amount a : r.path_amounts) sum += a;
   EXPECT_NEAR(sum, r.value, 1e-9);

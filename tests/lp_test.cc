@@ -3,10 +3,10 @@
 // The workspace rewrite (LpWorkspace / solve_lp_core, ProbedCapacities /
 // optimize_fee_split_core) is pinned here against the pre-rewrite
 // implementations, embedded below as `legacy::` oracles:
-//  - solve_lp runs the identical pivot sequence for the same constraint
-//    order, so status and objective must match the legacy dense solver
-//    exactly (cross-checked on random LPs with mixed relations, negative
-//    rhs and redundant rows);
+//  - solve_lp_core runs the identical pivot sequence for the same
+//    constraint order, so status and objective must match the legacy dense
+//    solver exactly (cross-checked on random LPs with mixed relations,
+//    negative rhs and redundant rows);
 //  - the splits are pinned at SOLUTION level on fig-scale probed
 //    instances: identical feasibility, total fee within 1e-6, and all
 //    program-(1) constraints satisfied — the chosen vertex may differ
@@ -15,8 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/topology.h"
 #include "lp/fee_min.h"
@@ -31,6 +34,53 @@ namespace {
 using testing::fwd;
 using testing::make_graph;
 
+// --- LP value form -------------------------------------------------------------
+//
+// The legacy dense solver below takes a problem by value; the tests build
+// problems in that form and emit them into an LpWorkspace for
+// solve_lp_core.
+
+struct LpConstraint {
+  std::vector<double> coeffs;  // one per variable; missing treated as 0
+  Relation rel = Relation::kLessEq;
+  double rhs = 0;
+};
+
+/// minimize objective . x  subject to constraints, x >= 0.
+struct LpProblem {
+  std::vector<double> objective;
+  std::vector<LpConstraint> constraints;
+
+  std::size_t num_vars() const noexcept { return objective.size(); }
+};
+
+struct LpSolution {
+  LpStatus status = LpStatus::kInfeasible;
+  std::vector<double> x;        // valid iff status == kOptimal
+  double objective_value = 0;   // valid iff status == kOptimal
+};
+
+/// Emits `problem` into `ws` with its constraints in order and solves it
+/// there with solve_lp_core.
+LpSolution solve_in(LpWorkspace& ws, const LpProblem& problem) {
+  const std::size_t n = problem.num_vars();
+  ws.reset(n);
+  std::copy(problem.objective.begin(), problem.objective.end(),
+            ws.objective.begin());
+  for (const auto& con : problem.constraints) {
+    double* row = ws.add_constraint(con.rel, con.rhs);
+    std::copy_n(con.coeffs.begin(), std::min(con.coeffs.size(), n), row);
+  }
+  solve_lp_core(ws);
+  LpSolution solution;
+  solution.status = ws.status;
+  if (ws.status == LpStatus::kOptimal) {
+    solution.x = ws.x;
+    solution.objective_value = ws.objective_value;
+  }
+  return solution;
+}
+
 // --- Simplex -------------------------------------------------------------------
 
 TEST(Simplex, SimpleMinimization) {
@@ -40,7 +90,8 @@ TEST(Simplex, SimpleMinimization) {
   lp.constraints.push_back({{1, 1}, Relation::kGreaterEq, 4});
   lp.constraints.push_back({{1, 0}, Relation::kLessEq, 3});
   lp.constraints.push_back({{0, 1}, Relation::kLessEq, 5});
-  const LpSolution sol = solve_lp(lp);
+  LpWorkspace ws;
+  const LpSolution sol = solve_in(ws, lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_NEAR(sol.x[0], 3, 1e-7);
   EXPECT_NEAR(sol.x[1], 1, 1e-7);
@@ -52,7 +103,8 @@ TEST(Simplex, EqualityConstraint) {
   LpProblem lp;
   lp.objective = {3, 1};
   lp.constraints.push_back({{1, 1}, Relation::kEq, 10});
-  const LpSolution sol = solve_lp(lp);
+  LpWorkspace ws;
+  const LpSolution sol = solve_in(ws, lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_NEAR(sol.x[0], 0, 1e-7);
   EXPECT_NEAR(sol.x[1], 10, 1e-7);
@@ -64,7 +116,8 @@ TEST(Simplex, InfeasibleDetected) {
   lp.objective = {1};
   lp.constraints.push_back({{1}, Relation::kLessEq, 1});
   lp.constraints.push_back({{1}, Relation::kGreaterEq, 2});
-  EXPECT_EQ(solve_lp(lp).status, LpStatus::kInfeasible);
+  LpWorkspace ws;
+  EXPECT_EQ(solve_in(ws, lp).status, LpStatus::kInfeasible);
 }
 
 TEST(Simplex, UnboundedDetected) {
@@ -72,7 +125,8 @@ TEST(Simplex, UnboundedDetected) {
   LpProblem lp;
   lp.objective = {-1};
   lp.constraints.push_back({{1}, Relation::kGreaterEq, 0});
-  EXPECT_EQ(solve_lp(lp).status, LpStatus::kUnbounded);
+  LpWorkspace ws;
+  EXPECT_EQ(solve_in(ws, lp).status, LpStatus::kUnbounded);
 }
 
 TEST(Simplex, NegativeRhsNormalized) {
@@ -80,7 +134,8 @@ TEST(Simplex, NegativeRhsNormalized) {
   LpProblem lp;
   lp.objective = {1, 1};
   lp.constraints.push_back({{1, -1}, Relation::kLessEq, -2});
-  const LpSolution sol = solve_lp(lp);
+  LpWorkspace ws;
+  const LpSolution sol = solve_in(ws, lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_NEAR(sol.objective_value, 2, 1e-7);
 }
@@ -93,7 +148,8 @@ TEST(Simplex, DegenerateTiesTerminate) {
   lp.constraints.push_back({{1, 0}, Relation::kLessEq, 1});
   lp.constraints.push_back({{0, 1}, Relation::kLessEq, 1});
   lp.constraints.push_back({{1, 1}, Relation::kLessEq, 2});
-  const LpSolution sol = solve_lp(lp);
+  LpWorkspace ws;
+  const LpSolution sol = solve_in(ws, lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_NEAR(sol.objective_value, -2, 1e-7);
 }
@@ -102,7 +158,8 @@ TEST(Simplex, ZeroObjectiveFeasibility) {
   LpProblem lp;
   lp.objective = {0, 0};
   lp.constraints.push_back({{1, 1}, Relation::kEq, 5});
-  const LpSolution sol = solve_lp(lp);
+  LpWorkspace ws;
+  const LpSolution sol = solve_in(ws, lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_NEAR(sol.x[0] + sol.x[1], 5, 1e-7);
 }
@@ -125,7 +182,8 @@ TEST(Simplex, RandomProblemsSolutionsFeasible) {
     }
     // Nonnegative objective over <= constraints with positive rhs: x = 0 is
     // feasible and optimal (objective 0).
-    const LpSolution sol = solve_lp(lp);
+    LpWorkspace ws;
+    const LpSolution sol = solve_in(ws, lp);
     ASSERT_EQ(sol.status, LpStatus::kOptimal);
     EXPECT_NEAR(sol.objective_value, 0.0, 1e-7);
   }
@@ -155,7 +213,8 @@ TEST(Simplex, RandomDemandProblemsRespectConstraints) {
       cap.rhs = caps[j];
       lp.constraints.push_back(std::move(cap));
     }
-    const LpSolution sol = solve_lp(lp);
+    LpWorkspace ws;
+    const LpSolution sol = solve_in(ws, lp);
     if (total < 1.0) {
       EXPECT_EQ(sol.status, LpStatus::kInfeasible);
       continue;
@@ -173,12 +232,14 @@ TEST(Simplex, RandomDemandProblemsRespectConstraints) {
 
 // --- Fee minimization ------------------------------------------------------------
 
-/// Two-path setup: cheap path (rate 0.01/hop) and expensive (0.05/hop).
+/// Two-path setup: cheap path (rate 0.01/hop) and expensive (0.05/hop),
+/// with its own split workspace.
 struct TwoPathFixture {
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees{g};
   std::vector<Path> paths;
-  CapacityMap cap;
+  ProbedCapacities cap;
+  SplitWorkspace ws;
 
   TwoPathFixture() {
     fees.set_policy(fwd(g, 0), {0, 0.01});
@@ -186,13 +247,32 @@ struct TwoPathFixture {
     fees.set_policy(fwd(g, 2), {0, 0.05});
     fees.set_policy(fwd(g, 3), {0, 0.05});
     paths = {{fwd(g, 0), fwd(g, 1)}, {fwd(g, 2), fwd(g, 3)}};
-    cap = {{fwd(g, 0), 60}, {fwd(g, 1), 60}, {fwd(g, 2), 60}, {fwd(g, 3), 60}};
+    set_caps({60, 60, 60, 60});
+  }
+
+  /// Records the capacity of each channel's forward edge, in channel order.
+  void set_caps(const std::array<Amount, 4>& caps) {
+    cap.reset(g.num_edges());
+    for (std::size_t ch = 0; ch < caps.size(); ++ch) {
+      cap.insert(fwd(g, ch), caps[ch]);
+    }
+  }
+
+  SplitResult optimize(Amount demand) {
+    SplitResult r;
+    optimize_fee_split_core(g, paths, demand, cap, fees, ws, r);
+    return r;
+  }
+  SplitResult sequential(Amount demand) {
+    SplitResult r;
+    sequential_split_core(g, paths, demand, cap, fees, ws, r);
+    return r;
   }
 };
 
 TEST(FeeMin, PrefersCheapPath) {
   TwoPathFixture f;
-  const SplitResult r = optimize_fee_split(f.g, f.paths, 50, f.cap, f.fees);
+  const SplitResult r = f.optimize(50);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.amounts[0], 50, 1e-6);  // everything on the cheap path
   EXPECT_NEAR(r.amounts[1], 0, 1e-6);
@@ -201,7 +281,7 @@ TEST(FeeMin, PrefersCheapPath) {
 
 TEST(FeeMin, SpillsToExpensiveWhenCheapIsFull) {
   TwoPathFixture f;
-  const SplitResult r = optimize_fee_split(f.g, f.paths, 100, f.cap, f.fees);
+  const SplitResult r = f.optimize(100);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.amounts[0], 60, 1e-6);
   EXPECT_NEAR(r.amounts[1], 40, 1e-6);
@@ -209,7 +289,7 @@ TEST(FeeMin, SpillsToExpensiveWhenCheapIsFull) {
 
 TEST(FeeMin, InfeasibleWhenDemandExceedsCapacity) {
   TwoPathFixture f;
-  const SplitResult r = optimize_fee_split(f.g, f.paths, 1000, f.cap, f.fees);
+  const SplitResult r = f.optimize(1000);
   EXPECT_FALSE(r.feasible);
 }
 
@@ -218,16 +298,16 @@ TEST(FeeMin, LpNeverWorseThanSequential) {
   for (int trial = 0; trial < 30; ++trial) {
     TwoPathFixture f;
     // Random capacities and rates.
-    for (auto& [e, c] : f.cap) c = rng.uniform(10.0, 80.0);
+    std::array<Amount, 4> caps;
+    for (auto& c : caps) c = rng.uniform(10.0, 80.0);
+    f.set_caps(caps);
     for (std::size_t ch = 0; ch < f.g.num_channels(); ++ch) {
       const double rate = rng.uniform(0.001, 0.05);
       f.fees.set_policy(fwd(f.g, ch), {0, rate});
     }
     const Amount demand = rng.uniform(5.0, 60.0);
-    const SplitResult lp =
-        optimize_fee_split(f.g, f.paths, demand, f.cap, f.fees);
-    const SplitResult seq =
-        sequential_split(f.g, f.paths, demand, f.cap, f.fees);
+    const SplitResult lp = f.optimize(demand);
+    const SplitResult seq = f.sequential(demand);
     if (seq.feasible) {
       ASSERT_TRUE(lp.feasible) << "LP must be feasible when sequential is";
       EXPECT_LE(lp.total_fee, seq.total_fee + 1e-6);
@@ -237,7 +317,7 @@ TEST(FeeMin, LpNeverWorseThanSequential) {
 
 TEST(FeeMin, SequentialFillsInDiscoveryOrder) {
   TwoPathFixture f;
-  const SplitResult r = sequential_split(f.g, f.paths, 80, f.cap, f.fees);
+  const SplitResult r = f.sequential(80);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.amounts[0], 60, 1e-9);  // first path to its bottleneck
   EXPECT_NEAR(r.amounts[1], 20, 1e-9);
@@ -249,22 +329,33 @@ TEST(FeeMin, SharedEdgeConstraintBindsAcrossPaths) {
   FeeSchedule fees(g);
   const Path p1{fwd(g, 0), fwd(g, 1), fwd(g, 2)};  // 0-1-2-3
   const Path p2{fwd(g, 0), fwd(g, 3)};             // 0-1-3
-  CapacityMap cap{{fwd(g, 0), 30},
-                  {fwd(g, 1), 25},
-                  {fwd(g, 2), 25},
-                  {fwd(g, 3), 25}};
-  const SplitResult ok = optimize_fee_split(g, {p1, p2}, 30, cap, fees);
+  ProbedCapacities cap;
+  cap.reset(g.num_edges());
+  cap.insert(fwd(g, 0), 30);
+  cap.insert(fwd(g, 1), 25);
+  cap.insert(fwd(g, 2), 25);
+  cap.insert(fwd(g, 3), 25);
+  SplitWorkspace ws;
+  SplitResult ok;
+  optimize_fee_split_core(g, {p1, p2}, 30, cap, fees, ws, ok);
   ASSERT_TRUE(ok.feasible);
   EXPECT_NEAR(ok.amounts[0] + ok.amounts[1], 30, 1e-6);
-  const SplitResult no = optimize_fee_split(g, {p1, p2}, 31, cap, fees);
+  SplitResult no;
+  optimize_fee_split_core(g, {p1, p2}, 31, cap, fees, ws, no);
   EXPECT_FALSE(no.feasible);  // shared edge caps the joint flow at 30
 }
 
 TEST(FeeMin, EmptyPathsInfeasible) {
   Graph g = make_graph(2, {{0, 1}});
   FeeSchedule fees(g);
-  EXPECT_FALSE(optimize_fee_split(g, {}, 10, CapacityMap{}, fees).feasible);
-  EXPECT_FALSE(sequential_split(g, {}, 10, CapacityMap{}, fees).feasible);
+  ProbedCapacities cap;
+  cap.reset(g.num_edges());
+  SplitWorkspace ws;
+  SplitResult r;
+  optimize_fee_split_core(g, {}, 10, cap, fees, ws, r);
+  EXPECT_FALSE(r.feasible);
+  sequential_split_core(g, {}, 10, cap, fees, ws, r);
+  EXPECT_FALSE(r.feasible);
 }
 
 TEST(FeeMin, SplitFeeMatchesSchedule) {
@@ -281,25 +372,24 @@ TEST(FeeMin, SplitFeeMatchesSchedule) {
 
 TEST(FeeMin, SequentialSplitMissingEdgeIsInfeasibleNotThrow) {
   TwoPathFixture f;
-  CapacityMap holey = f.cap;
-  holey.erase(fwd(f.g, 1));  // second edge of the cheap path unprobed
+  f.cap.reset(f.g.num_edges());
+  f.cap.insert(fwd(f.g, 0), 60);  // the cheap path's second edge is unprobed
+  f.cap.insert(fwd(f.g, 2), 60);
+  f.cap.insert(fwd(f.g, 3), 60);
   SplitResult r;
-  EXPECT_NO_THROW(r = sequential_split(f.g, f.paths, 50, holey, f.fees));
+  EXPECT_NO_THROW(r = f.sequential(50));
   EXPECT_FALSE(r.feasible);
 
-  ProbedCapacities cap;
-  cap.reset(f.g.num_edges());
-  cap.insert(fwd(f.g, 0), 60);  // cheap path only partially covered
-  SplitWorkspace ws;
-  EXPECT_NO_THROW(
-      sequential_split_core(f.g, f.paths, 50, cap, f.fees, ws, r));
+  f.cap.reset(f.g.num_edges());
+  f.cap.insert(fwd(f.g, 0), 60);  // cheap path only partially covered
+  EXPECT_NO_THROW(r = f.sequential(50));
   EXPECT_FALSE(r.feasible);
 }
 
 TEST(FeeMin, SequentialSplitEmptyCapacityMatrixInfeasible) {
   TwoPathFixture f;
-  const SplitResult r =
-      sequential_split(f.g, f.paths, 50, CapacityMap{}, f.fees);
+  f.cap.reset(f.g.num_edges());
+  const SplitResult r = f.sequential(50);
   EXPECT_FALSE(r.feasible);
 }
 
@@ -312,6 +402,10 @@ TEST(FeeMin, SequentialSplitEmptyCapacityMatrixInfeasible) {
 namespace legacy {
 
 constexpr double kEps = 1e-9;
+
+/// The legacy splits' capacity matrix C: constraints are emitted in its
+/// hash-iteration order.
+using CapacityMap = std::unordered_map<EdgeId, Amount>;
 
 class Tableau {
  public:
@@ -655,10 +749,11 @@ LpProblem random_lp(Rng& rng) {
 
 TEST(SimplexEquivalence, RandomLpsMatchLegacyDenseSolver) {
   Rng rng(1234);
+  LpWorkspace ws;
   int optimal = 0, infeasible = 0, unbounded = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const LpProblem lp = random_lp(rng);
-    const LpSolution got = solve_lp(lp);
+    const LpSolution got = solve_in(ws, lp);
     const LpSolution want = legacy::solve_lp(lp);
     ASSERT_EQ(got.status, want.status) << "trial " << trial;
     switch (got.status) {
@@ -695,16 +790,20 @@ TEST(SimplexEquivalence, RandomLpsMatchLegacyDenseSolver) {
 }
 
 TEST(SimplexEquivalence, WorkspaceReuseMatchesFreshAcrossProblems) {
-  // The legacy wrapper reuses one thread_local workspace; interleaving
-  // problems of very different shapes must not leak state between solves.
+  // One workspace reused across problems of very different shapes must
+  // not leak state between solves: each matches a fresh workspace's.
   Rng rng(77);
   std::vector<LpProblem> lps;
   for (int i = 0; i < 12; ++i) lps.push_back(random_lp(rng));
   std::vector<LpSolution> first;
-  for (const auto& lp : lps) first.push_back(solve_lp(lp));
+  for (const auto& lp : lps) {
+    LpWorkspace fresh;
+    first.push_back(solve_in(fresh, lp));
+  }
+  LpWorkspace reused;
   for (int round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < lps.size(); ++i) {
-      const LpSolution again = solve_lp(lps[i]);
+      const LpSolution again = solve_in(reused, lps[i]);
       ASSERT_EQ(again.status, first[i].status);
       if (again.status == LpStatus::kOptimal) {
         EXPECT_EQ(again.x, first[i].x) << "solve must be deterministic";
@@ -753,20 +852,25 @@ TEST(SplitEquivalence, FigScaleProbesMatchLegacyAtSolutionLevel) {
   Rng frng(41);
   const FeeSchedule fees = FeeSchedule::paper_default(g, frng);
 
+  GraphScratch scratch;
+  ElephantProbeResult probe;
+  SplitWorkspace ws;
+  SplitResult lp_new;
+  SplitResult seq_new;
   Rng rng(4242);
   int feasible_checked = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     if (s == t) continue;
-    const ElephantProbeResult probe =
-        elephant_find_paths(g, s, t, 1e6, 20, state);
+    elephant_find_paths_into(g, s, t, 1e6, 20, state, scratch, probe);
     if (probe.paths.empty() || probe.max_flow <= 0) continue;
     const Amount demand = 0.9 * probe.max_flow;
 
-    CapacityMap legacy_cap(probe.capacities.begin(), probe.capacities.end());
-    const SplitResult lp_new =
-        optimize_fee_split(g, probe.paths, demand, probe.capacities, fees);
+    legacy::CapacityMap legacy_cap(probe.capacities.begin(),
+                                   probe.capacities.end());
+    optimize_fee_split_core(g, probe.paths, demand, probe.capacities, fees,
+                            ws, lp_new);
     const SplitResult lp_old =
         legacy::optimize_fee_split(g, probe.paths, demand, legacy_cap, fees);
     ASSERT_EQ(lp_new.feasible, lp_old.feasible) << "trial " << trial;
@@ -779,8 +883,8 @@ TEST(SplitEquivalence, FigScaleProbesMatchLegacyAtSolutionLevel) {
       ++feasible_checked;
     }
 
-    const SplitResult seq_new =
-        sequential_split(g, probe.paths, demand, probe.capacities, fees);
+    sequential_split_core(g, probe.paths, demand, probe.capacities, fees, ws,
+                          seq_new);
     const SplitResult seq_old =
         legacy::sequential_split(g, probe.paths, demand, legacy_cap, fees);
     ASSERT_EQ(seq_new.feasible, seq_old.feasible) << "trial " << trial;
@@ -792,47 +896,6 @@ TEST(SplitEquivalence, FigScaleProbesMatchLegacyAtSolutionLevel) {
     }
   }
   EXPECT_GT(feasible_checked, 10) << "fixture must exercise real splits";
-}
-
-TEST(SplitEquivalence, CapacityMapOverloadMatchesLegacyExactly) {
-  // The legacy CapacityMap overload stages the map in its own iteration
-  // order, so it must reproduce the historical result bit-for-bit — the
-  // same vertex, not just the same objective.
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    TwoPathFixture f;
-    for (auto& [e, c] : f.cap) c = rng.uniform(10.0, 80.0);
-    for (std::size_t ch = 0; ch < f.g.num_channels(); ++ch) {
-      f.fees.set_policy(fwd(f.g, ch), {0, rng.uniform(0.001, 0.05)});
-    }
-    const Amount demand = rng.uniform(5.0, 100.0);
-    const SplitResult got =
-        optimize_fee_split(f.g, f.paths, demand, f.cap, f.fees);
-    const SplitResult want =
-        legacy::optimize_fee_split(f.g, f.paths, demand, f.cap, f.fees);
-    ASSERT_EQ(got.feasible, want.feasible) << "trial " << trial;
-    if (got.feasible) {
-      EXPECT_EQ(got.amounts, want.amounts) << "trial " << trial;
-      EXPECT_EQ(got.total_fee, want.total_fee) << "trial " << trial;
-    }
-  }
-}
-
-TEST(SplitEquivalence, CoreAndConvenienceOverloadAgree) {
-  // The ProbedCapacities convenience overload and an explicitly-owned
-  // workspace must produce identical results (same canonical order).
-  TwoPathFixture f;
-  ProbedCapacities cap;
-  cap.reset(f.g.num_edges());
-  for (std::size_t ch = 0; ch < 4; ++ch) cap.insert(fwd(f.g, ch), 60);
-  const SplitResult a = optimize_fee_split(f.g, f.paths, 100, cap, f.fees);
-  SplitWorkspace ws;
-  SplitResult b;
-  optimize_fee_split_core(f.g, f.paths, 100, cap, f.fees, ws, b);
-  ASSERT_TRUE(a.feasible);
-  ASSERT_TRUE(b.feasible);
-  EXPECT_EQ(a.amounts, b.amounts);
-  EXPECT_EQ(a.total_fee, b.total_fee);
 }
 
 TEST(ProbedCapacitiesType, InsertionOrderAndLookup) {

@@ -1,15 +1,14 @@
-// Classical Edmonds-Karp max-flow on known capacities.
+// Classical Edmonds-Karp max-flow on known capacities: a test oracle.
 //
 // The paper's Algorithm 1 is a *probing* variant of Edmonds-Karp that only
-// learns capacities lazily; this module implements the classical algorithm
-// with full capacity knowledge. It serves as (a) the ground-truth oracle the
-// tests compare Algorithm 1 against, and (b) the omniscient upper bound in
-// ablation benchmarks.
+// learns capacities lazily; this header implements the classical algorithm
+// with full capacity knowledge. It is the ground truth the tests compare
+// Algorithm 1 against; no library code calls it, so it lives with the
+// tests.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -20,9 +19,6 @@
 
 namespace flash {
 
-/// Capacity of a directed edge (>= 0).
-using EdgeCapacity = std::function<Amount(EdgeId)>;
-
 struct MaxFlowResult {
   Amount value = 0;                 // total s->t flow
   std::vector<Amount> edge_flow;    // net flow per directed edge (may be 0)
@@ -30,10 +26,18 @@ struct MaxFlowResult {
   std::vector<Amount> path_amounts; // bottleneck pushed along each path
 };
 
-/// Core Edmonds-Karp running in `scratch`, reusing `result`'s buffers
-/// (allocation-free once both are warm). Residuals live in
-/// scratch.amount_buf; the per-iteration BFS runs on the scratch queue and
-/// epoch-stamped parent marks. Semantics identical to edmonds_karp below.
+/// Edmonds-Karp max flow from s to t under `capacity` (a callable giving
+/// each directed edge's capacity, >= 0), running in `scratch` and reusing
+/// `result`'s buffers (allocation-free once both are warm). Residuals live
+/// in scratch.amount_buf; the per-iteration BFS runs on the scratch queue
+/// and epoch-stamped parent marks.
+///
+/// `limit` optionally stops the search once the flow reaches `limit`
+/// (useful when only "is there a flow of at least d" matters, as in
+/// elephant routing feasibility checks). Pass a negative limit for the
+/// full max flow. `max_paths` caps the number of augmenting iterations
+/// (0 = unlimited), which yields the k-iteration variant the paper builds
+/// Algorithm 1 from.
 template <typename CapacityFn>
 void edmonds_karp_core(const Graph& g, NodeId s, NodeId t,
                        CapacityFn&& capacity, Amount limit,
@@ -97,17 +101,5 @@ void edmonds_karp_core(const Graph& g, NodeId s, NodeId t,
   }
   finish();
 }
-
-/// Edmonds-Karp max flow from s to t.
-///
-/// `limit` optionally stops the search once the flow reaches `limit`
-/// (useful when only "is there a flow of at least d" matters, as in
-/// elephant routing feasibility checks). Pass a negative limit for the
-/// full max flow. `max_paths` caps the number of augmenting iterations
-/// (0 = unlimited), which yields the k-iteration variant the paper builds
-/// Algorithm 1 from.
-MaxFlowResult edmonds_karp(const Graph& g, NodeId s, NodeId t,
-                           const EdgeCapacity& capacity, Amount limit = -1,
-                           std::size_t max_paths = 0);
 
 }  // namespace flash

@@ -15,12 +15,14 @@ using testing::set_channel;
 Transaction tx(NodeId s, NodeId t, Amount a) { return {s, t, a, 0}; }
 
 TEST(MiceWaterfill, DeliversAndProbesEveryPath) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   NetworkState s(g);
   for (int c = 0; c < 4; ++c) set_channel(s, g, c, 100, 0);
   MiceRoutingTable table(g, {4, 0, 0});
-  const RouteResult r = route_mice_waterfill(g, tx(0, 3, 10), s, fees, table);
+  const RouteResult r = route_mice_waterfill(g, tx(0, 3, 10), s, fees, table,
+                                             scratch);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.probes, 2u);  // both table paths probed up front
   EXPECT_GT(r.probe_messages, 0u);
@@ -28,6 +30,7 @@ TEST(MiceWaterfill, DeliversAndProbesEveryPath) {
 }
 
 TEST(MiceWaterfill, SplitsAcrossPathsWhenOneIsThin) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -36,19 +39,22 @@ TEST(MiceWaterfill, SplitsAcrossPathsWhenOneIsThin) {
   set_channel(s, g, 2, 6, 0);
   set_channel(s, g, 3, 6, 0);
   MiceRoutingTable table(g, {4, 0, 0});
-  const RouteResult r = route_mice_waterfill(g, tx(0, 3, 10), s, fees, table);
+  const RouteResult r = route_mice_waterfill(g, tx(0, 3, 10), s, fees, table,
+                                             scratch);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.paths_used, 2u);
 }
 
 TEST(MiceWaterfill, FailsCleanlyWhenInsufficient) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   FeeSchedule fees(g);
   NetworkState s(g);
   set_channel(s, g, 0, 3, 0);
   set_channel(s, g, 1, 3, 0);
   MiceRoutingTable table(g, {4, 0, 0});
-  const RouteResult r = route_mice_waterfill(g, tx(0, 2, 10), s, fees, table);
+  const RouteResult r = route_mice_waterfill(g, tx(0, 2, 10), s, fees, table,
+                                             scratch);
   EXPECT_FALSE(r.success);
   EXPECT_DOUBLE_EQ(s.balance(fwd(g, 0)), 3);  // untouched
   EXPECT_EQ(s.active_holds(), 0u);
@@ -79,6 +85,7 @@ TEST(MiceWaterfill, RouterDispatchesOnConfig) {
 TEST(MiceWaterfill, BalanceAwareSelectionPrefersFullPath) {
   // One path nearly drained, one full: waterfilling sends everything over
   // the full one (trial-and-error would pick randomly and may need two).
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -87,7 +94,8 @@ TEST(MiceWaterfill, BalanceAwareSelectionPrefersFullPath) {
   set_channel(s, g, 2, 100, 0);
   set_channel(s, g, 3, 100, 0);
   MiceRoutingTable table(g, {4, 0, 0});
-  const RouteResult r = route_mice_waterfill(g, tx(0, 3, 50), s, fees, table);
+  const RouteResult r = route_mice_waterfill(g, tx(0, 3, 50), s, fees, table,
+                                             scratch);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.paths_used, 1u);
   EXPECT_DOUBLE_EQ(s.balance(fwd(g, 0)), 1);  // thin path untouched

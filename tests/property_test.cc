@@ -5,9 +5,9 @@
 #include <tuple>
 
 #include "graph/bfs.h"
-#include "graph/maxflow.h"
 #include "graph/topology.h"
 #include "ledger/htlc.h"
+#include "maxflow.h"
 #include "routing/flash/elephant.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -28,6 +28,7 @@ TEST_P(LedgerFuzz, RandomHoldCommitAbortConservesDeposits) {
   const Amount deposits = s.total_balance();
 
   std::vector<HoldId> open;
+  GraphScratch scratch;
   for (int step = 0; step < 400; ++step) {
     const double dice = rng.uniform();
     if (dice < 0.5) {
@@ -35,7 +36,8 @@ TEST_P(LedgerFuzz, RandomHoldCommitAbortConservesDeposits) {
       const auto a = static_cast<NodeId>(rng.next_below(20));
       const auto b = static_cast<NodeId>(rng.next_below(20));
       if (a == b) continue;
-      const Path p = bfs_path(g, a, b);
+      Path p;
+      bfs_path_core(g, a, b, scratch, AdmitAll{}, p);
       if (p.empty()) continue;
       const Amount amt = rng.uniform(0.1, 30.0);
       const auto id = s.hold(p, amt);
@@ -64,6 +66,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LedgerFuzz,
 class ElephantOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ElephantOracle, ProbedFlowBoundedByTrueMaxFlow) {
+  GraphScratch scratch;
   Rng rng(GetParam());
   Graph g = scale_free(40, 100, rng);
   NetworkState s(g);
@@ -72,9 +75,11 @@ TEST_P(ElephantOracle, ProbedFlowBoundedByTrueMaxFlow) {
     const auto src = static_cast<NodeId>(rng.next_below(40));
     auto dst = static_cast<NodeId>(rng.next_below(40));
     if (dst == src) dst = (dst + 1) % 40;
-    const auto oracle =
-        edmonds_karp(g, src, dst, [&](EdgeId e) { return s.balance(e); });
-    const auto probed = elephant_find_paths(g, src, dst, 1e18, 32, s);
+    MaxFlowResult oracle;
+    edmonds_karp_core(g, src, dst, [&](EdgeId e) { return s.balance(e); }, -1,
+                      0, scratch, oracle);
+    ElephantProbeResult probed;
+    elephant_find_paths_into(g, src, dst, 1e18, 32, s, scratch, probed);
     EXPECT_LE(probed.max_flow, oracle.value + 1e-6);
     // Feasibility claim is trustworthy: if Algorithm 1 says it can carry d,
     // the oracle must agree.

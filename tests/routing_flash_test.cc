@@ -5,8 +5,8 @@
 
 #include <set>
 
-#include "graph/maxflow.h"
 #include "graph/topology.h"
+#include "maxflow.h"
 #include "routing/flash/elephant.h"
 #include "routing/flash/flash_router.h"
 #include "routing/flash/mice.h"
@@ -26,11 +26,13 @@ Transaction tx(NodeId s, NodeId t, Amount a) { return {s, t, a, 0}; }
 // --- Algorithm 1: elephant path finding ---------------------------------------
 
 TEST(Elephant, FindsSinglePathWhenSufficient) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   NetworkState s(g);
   set_channel(s, g, 0, 10, 0);
   set_channel(s, g, 1, 10, 0);
-  const auto r = elephant_find_paths(g, 0, 2, 8, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 2, 8, 20, s, scratch, r);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.paths.size(), 1u);  // early exit once f >= d
   EXPECT_DOUBLE_EQ(r.max_flow, 10);
@@ -38,26 +40,31 @@ TEST(Elephant, FindsSinglePathWhenSufficient) {
 }
 
 TEST(Elephant, AggregatesMultiplePaths) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   NetworkState s(g);
   for (int c = 0; c < 4; ++c) set_channel(s, g, c, 6, 0);
-  const auto r = elephant_find_paths(g, 0, 3, 10, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 3, 10, 20, s, scratch, r);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.paths.size(), 2u);
   EXPECT_DOUBLE_EQ(r.max_flow, 12);
 }
 
 TEST(Elephant, InfeasibleWhenDemandTooLarge) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   NetworkState s(g);
   set_channel(s, g, 0, 5, 0);
   set_channel(s, g, 1, 5, 0);
-  const auto r = elephant_find_paths(g, 0, 2, 50, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 2, 50, 20, s, scratch, r);
   EXPECT_FALSE(r.feasible);
 }
 
 TEST(Elephant, RespectsPathBudgetK) {
   // Many parallel 2-hop routes; tiny k must cap the probes.
+  GraphScratch scratch;
   Graph g(6);
   for (NodeId mid = 1; mid <= 4; ++mid) {
     g.add_channel(0, mid);
@@ -65,18 +72,21 @@ TEST(Elephant, RespectsPathBudgetK) {
   }
   NetworkState s(g);
   for (std::size_t c = 0; c < g.num_channels(); ++c) set_channel(s, g, c, 3, 0);
-  const auto r = elephant_find_paths(g, 0, 5, 100, 2, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 5, 100, 2, s, scratch, r);
   EXPECT_FALSE(r.feasible);
   EXPECT_LE(r.paths.size(), 2u);
   EXPECT_LE(r.probes, 2u);
 }
 
 TEST(Elephant, CapacityMatrixRecordsBothDirections) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   NetworkState s(g);
   set_channel(s, g, 0, 10, 3);
   set_channel(s, g, 1, 10, 4);
-  const auto r = elephant_find_paths(g, 0, 2, 8, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 2, 8, 20, s, scratch, r);
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.capacities.at(fwd(g, 0)), 10);
   EXPECT_DOUBLE_EQ(r.capacities.at(bwd(g, 0)), 3);
@@ -86,11 +96,13 @@ TEST(Elephant, CapacityMatrixRecordsBothDirections) {
 TEST(Elephant, Figure5aFindsNonShortestCapacity) {
   // Fig. 5(a): two shortest paths share the 30-capacity link 1->2; Flash's
   // max-flow search must also harvest the longer 1-5-4-6 route to reach 60.
+  GraphScratch scratch;
   Graph g = make_graph(6, {{0, 1}, {1, 2}, {1, 3}, {2, 5}, {3, 5},
                            {0, 4}, {4, 3}});
   NetworkState s(g);
   for (std::size_t c = 0; c < g.num_channels(); ++c) set_channel(s, g, c, 30, 0);
-  const auto r = elephant_find_paths(g, 0, 5, 60, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 5, 60, 20, s, scratch, r);
   EXPECT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.max_flow, 60);
 }
@@ -98,6 +110,7 @@ TEST(Elephant, Figure5aFindsNonShortestCapacity) {
 TEST(Elephant, Figure5bExploitsAbundantSharedLink) {
   // Fig. 5(b): the shared link has capacity 100; edge-disjoint schemes cap
   // at 50 but Flash reaches 60 using both paths through the hub.
+  GraphScratch scratch;
   Graph g = make_graph(6, {{0, 1}, {1, 2}, {1, 3}, {2, 5}, {3, 5},
                            {0, 4}, {4, 3}});
   NetworkState s(g);
@@ -105,7 +118,8 @@ TEST(Elephant, Figure5bExploitsAbundantSharedLink) {
   for (std::size_t c = 1; c <= 4; ++c) set_channel(s, g, c, 30, 0);
   set_channel(s, g, 5, 20, 0);
   set_channel(s, g, 6, 20, 0);
-  const auto r = elephant_find_paths(g, 0, 5, 60, 20, s);
+  ElephantProbeResult r;
+  elephant_find_paths_into(g, 0, 5, 60, 20, s, scratch, r);
   EXPECT_TRUE(r.feasible);
   EXPECT_GE(r.max_flow, 60);
 }
@@ -113,6 +127,7 @@ TEST(Elephant, Figure5bExploitsAbundantSharedLink) {
 TEST(Elephant, FlowNeverExceedsClassicalMaxFlow) {
   // Property: Algorithm 1's probed flow is a lower bound on the true max
   // flow and is feasible whenever demand <= flow.
+  GraphScratch scratch;
   Rng rng(31);
   for (int trial = 0; trial < 20; ++trial) {
     Rng trial_rng(100 + trial);
@@ -122,35 +137,44 @@ TEST(Elephant, FlowNeverExceedsClassicalMaxFlow) {
     const NodeId src = static_cast<NodeId>(rng.next_below(25));
     NodeId dst = static_cast<NodeId>(rng.next_below(25));
     if (dst == src) dst = (dst + 1) % 25;
-    const auto oracle = edmonds_karp(
-        g, src, dst, [&](EdgeId e) { return s.balance(e); });
-    const auto probed = elephant_find_paths(g, src, dst, 1e18, 64, s);
+    MaxFlowResult oracle;
+    edmonds_karp_core(g, src, dst, [&](EdgeId e) { return s.balance(e); }, -1,
+                      0, scratch, oracle);
+    ElephantProbeResult probed;
+    elephant_find_paths_into(g, src, dst, 1e18, 64, s, scratch, probed);
     EXPECT_LE(probed.max_flow, oracle.value + 1e-6);
   }
 }
 
 TEST(Elephant, LargeKMatchesClassicalMaxFlow) {
   // With an unbounded path budget the probing variant IS Edmonds-Karp.
+  GraphScratch scratch;
   Rng rng(37);
   Graph g = watts_strogatz(20, 4, 0.3, rng);
   NetworkState s(g);
   s.assign_uniform_split(10, 50, rng);
-  const auto oracle =
-      edmonds_karp(g, 0, 11, [&](EdgeId e) { return s.balance(e); });
-  const auto probed = elephant_find_paths(g, 0, 11, 1e18, 10000, s);
+  MaxFlowResult oracle;
+  edmonds_karp_core(g, 0, 11, [&](EdgeId e) { return s.balance(e); }, -1, 0,
+                    scratch, oracle);
+  ElephantProbeResult probed;
+  elephant_find_paths_into(g, 0, 11, 1e18, 10000, s, scratch, probed);
   EXPECT_NEAR(probed.max_flow, oracle.value, 1e-6);
 }
 
 // --- Elephant end-to-end --------------------------------------------------------
 
 TEST(RouteElephant, MovesFundsAndReportsFees) {
+  GraphScratch scratch;
+  ElephantProbeResult probe_buf;
+  SplitWorkspace split_ws;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   for (std::size_t c = 0; c < 4; ++c) fees.set_policy(fwd(g, c), {0, 0.01});
   NetworkState s(g);
   for (int c = 0; c < 4; ++c) set_channel(s, g, c, 6, 0);
   const RouteResult r =
-      route_elephant(g, tx(0, 3, 10), s, fees, ElephantConfig{});
+      route_elephant(g, tx(0, 3, 10), s, fees, ElephantConfig{}, scratch,
+                     probe_buf, split_ws);
   EXPECT_TRUE(r.success);
   EXPECT_TRUE(r.elephant);
   EXPECT_DOUBLE_EQ(r.delivered, 10);
@@ -162,6 +186,9 @@ TEST(RouteElephant, MovesFundsAndReportsFees) {
 }
 
 TEST(RouteElephant, FailureLeavesStateUntouched) {
+  GraphScratch scratch;
+  ElephantProbeResult probe_buf;
+  SplitWorkspace split_ws;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -169,7 +196,8 @@ TEST(RouteElephant, FailureLeavesStateUntouched) {
   set_channel(s, g, 1, 5, 0);
   const auto snap = s.snapshot();
   const RouteResult r =
-      route_elephant(g, tx(0, 2, 50), s, fees, ElephantConfig{});
+      route_elephant(g, tx(0, 2, 50), s, fees, ElephantConfig{}, scratch,
+                     probe_buf, split_ws);
   EXPECT_FALSE(r.success);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_DOUBLE_EQ(s.balance(e), snap.balance[e]);
@@ -179,6 +207,9 @@ TEST(RouteElephant, FailureLeavesStateUntouched) {
 TEST(RouteElephant, FeeOptimizationPicksCheaperPath) {
   // Two disjoint 2-hop paths, one cheap one expensive, both with capacity;
   // with optimization everything goes on the cheap one.
+  GraphScratch scratch;
+  ElephantProbeResult probe_buf;
+  SplitWorkspace split_ws;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   fees.set_policy(fwd(g, 0), {0, 0.001});
@@ -189,12 +220,16 @@ TEST(RouteElephant, FeeOptimizationPicksCheaperPath) {
   for (int c = 0; c < 4; ++c) set_channel(s, g, c, 100, 0);
 
   ElephantConfig with_opt;
-  const RouteResult opt = route_elephant(g, tx(0, 3, 50), s, fees, with_opt);
+  const RouteResult opt = route_elephant(g, tx(0, 3, 50), s, fees, with_opt,
+                                         scratch, probe_buf, split_ws);
   ASSERT_TRUE(opt.success);
   EXPECT_NEAR(opt.fee, 50 * 0.002, 1e-6);
 }
 
 TEST(RouteElephant, WithoutOptimizationUsesDiscoveryOrder) {
+  GraphScratch scratch;
+  ElephantProbeResult probe_buf;
+  SplitWorkspace split_ws;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   // Make the *first-discovered* path the expensive one by fee, so the
@@ -208,7 +243,8 @@ TEST(RouteElephant, WithoutOptimizationUsesDiscoveryOrder) {
 
   ElephantConfig no_opt;
   no_opt.optimize_fees = false;
-  const RouteResult r = route_elephant(g, tx(0, 3, 50), s, fees, no_opt);
+  const RouteResult r = route_elephant(g, tx(0, 3, 50), s, fees, no_opt,
+                                       scratch, probe_buf, split_ws);
   ASSERT_TRUE(r.success);
   // Sequential fill puts all 50 on the first BFS path; both are 2-hop so
   // either could be first, but the fee must correspond to a single path.
@@ -217,13 +253,17 @@ TEST(RouteElephant, WithoutOptimizationUsesDiscoveryOrder) {
 }
 
 TEST(RouteElephant, CountsProbeMessages) {
+  GraphScratch scratch;
+  ElephantProbeResult probe_buf;
+  SplitWorkspace split_ws;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   FeeSchedule fees(g);
   NetworkState s(g);
   set_channel(s, g, 0, 100, 0);
   set_channel(s, g, 1, 100, 0);
   const RouteResult r =
-      route_elephant(g, tx(0, 2, 10), s, fees, ElephantConfig{});
+      route_elephant(g, tx(0, 2, 10), s, fees, ElephantConfig{}, scratch,
+                     probe_buf, split_ws);
   EXPECT_EQ(r.probes, 1u);
   EXPECT_EQ(r.probe_messages, 4u);  // 2 hops x (PROBE + PROBE_ACK)
 }
@@ -231,47 +271,51 @@ TEST(RouteElephant, CountsProbeMessages) {
 // --- Mice routing table ------------------------------------------------------------
 
 TEST(RoutingTable, ComputesOnFirstLookupOnly) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   MiceRoutingTable table(g, {2, 2, 0});
   bool computed = false;
-  const auto& p1 = table.lookup(0, 3, &computed);
+  const auto& p1 = table.lookup(0, 3, scratch, &computed);
   EXPECT_TRUE(computed);
   EXPECT_EQ(p1.size(), 2u);
-  table.lookup(0, 3, &computed);
+  table.lookup(0, 3, scratch, &computed);
   EXPECT_FALSE(computed);
   EXPECT_EQ(table.computations(), 1u);
   EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(RoutingTable, ReplaceDeadPathPromotesSpare) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   MiceRoutingTable table(g, {1, 2, 0});
-  const auto paths = table.lookup(0, 3);
+  const auto paths = table.lookup(0, 3, scratch);
   ASSERT_EQ(paths.size(), 1u);
   const Path dead = paths[0];
   EXPECT_TRUE(table.replace_dead_path(0, 3, dead));
-  const auto& fresh = table.lookup(0, 3);
+  const auto& fresh = table.lookup(0, 3, scratch);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_NE(fresh[0], dead);
 }
 
 TEST(RoutingTable, ReplaceWithoutSparesShrinks) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   MiceRoutingTable table(g, {4, 0, 0});  // only one path exists, no spares
-  const auto paths = table.lookup(0, 2);
+  const auto paths = table.lookup(0, 2, scratch);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_FALSE(table.replace_dead_path(0, 2, paths[0]));
-  EXPECT_TRUE(table.lookup(0, 2).empty());
+  EXPECT_TRUE(table.lookup(0, 2, scratch).empty());
 }
 
 TEST(RoutingTable, ExhaustedEntryStaysEmptyByDefault) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   MiceRoutingTable table(g, {4, 0, 0});
-  const Path dead = table.lookup(0, 2)[0];
+  const Path dead = table.lookup(0, 2, scratch)[0];
   EXPECT_FALSE(table.replace_dead_path(0, 2, dead));
   // The pinned static behavior: the entry survives, empty, forever.
   bool computed = true;
-  EXPECT_TRUE(table.lookup(0, 2, &computed).empty());
+  EXPECT_TRUE(table.lookup(0, 2, scratch, &computed).empty());
   EXPECT_FALSE(computed);
   EXPECT_EQ(table.computations(), 1u);
 }
@@ -279,44 +323,48 @@ TEST(RoutingTable, ExhaustedEntryStaysEmptyByDefault) {
 TEST(RoutingTable, RecomputeOnExhaustionForgetsEmptyEntries) {
   // Churn mode: once every path of an entry died, the entry is dropped so
   // the next lookup re-runs Yen instead of failing until a view refresh.
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   RoutingTableConfig config{4, 0, 0};
   config.recompute_on_exhaustion = true;
   MiceRoutingTable table(g, config);
-  const Path dead = table.lookup(0, 2)[0];
+  const Path dead = table.lookup(0, 2, scratch)[0];
   EXPECT_FALSE(table.replace_dead_path(0, 2, dead));
   EXPECT_EQ(table.size(), 0u);
   bool computed = false;
-  EXPECT_FALSE(table.lookup(0, 2, &computed).empty());
+  EXPECT_FALSE(table.lookup(0, 2, scratch, &computed).empty());
   EXPECT_TRUE(computed);
   EXPECT_EQ(table.computations(), 2u);
 }
 
 TEST(RoutingTable, ClearForcesRecomputation) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   MiceRoutingTable table(g, {2, 0, 0});
-  table.lookup(0, 2);
+  table.lookup(0, 2, scratch);
   table.clear();
   EXPECT_EQ(table.size(), 0u);
   bool computed = false;
-  table.lookup(0, 2, &computed);
+  table.lookup(0, 2, scratch, &computed);
   EXPECT_TRUE(computed);
   EXPECT_EQ(table.computations(), 2u);
 }
 
 TEST(RoutingTable, TimeoutEvictsStaleEntries) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}});
   MiceRoutingTable table(g, {2, 0, /*entry_timeout=*/100});
-  table.lookup(0, 3);
+  table.lookup(0, 3, scratch);
   // 600 lookups of a different pair age the first entry past its timeout
   // (eviction runs on a 256-lookup stride).
-  for (int i = 0; i < 600; ++i) table.lookup(1, 3);
+  for (int i = 0; i < 600; ++i) table.lookup(1, 3, scratch);
   EXPECT_EQ(table.size(), 1u);  // (0,3) evicted, (1,3) alive
 }
 
 // --- Mice routing ---------------------------------------------------------------------
 
 TEST(RouteMice, FullPaymentFirstTryNoProbe) {
+  GraphScratch scratch;
   Graph g = make_graph(3, {{0, 1}, {1, 2}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -324,7 +372,8 @@ TEST(RouteMice, FullPaymentFirstTryNoProbe) {
   set_channel(s, g, 1, 100, 0);
   MiceRoutingTable table(g, {4, 2, 0});
   Rng rng(41);
-  const RouteResult r = route_mice(g, tx(0, 2, 10), s, fees, table, rng);
+  const RouteResult r = route_mice(g, tx(0, 2, 10), s, fees, table, rng,
+                                   scratch);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.probes, 0u);  // no probing when the first trial lands
   EXPECT_EQ(r.probe_messages, 0u);
@@ -332,6 +381,7 @@ TEST(RouteMice, FullPaymentFirstTryNoProbe) {
 }
 
 TEST(RouteMice, SplitsViaPartialPayments) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -341,7 +391,8 @@ TEST(RouteMice, SplitsViaPartialPayments) {
   set_channel(s, g, 3, 6, 0);
   MiceRoutingTable table(g, {4, 2, 0});
   Rng rng(43);
-  const RouteResult r = route_mice(g, tx(0, 3, 10), s, fees, table, rng);
+  const RouteResult r = route_mice(g, tx(0, 3, 10), s, fees, table, rng,
+                                   scratch);
   EXPECT_TRUE(r.success);
   EXPECT_GE(r.paths_used, 2u);
   EXPECT_GT(r.probes, 0u);  // needed probing after the full send failed
@@ -349,6 +400,7 @@ TEST(RouteMice, SplitsViaPartialPayments) {
 }
 
 TEST(RouteMice, FailureRollsBackAllPartials) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -356,7 +408,8 @@ TEST(RouteMice, FailureRollsBackAllPartials) {
   const auto snap = s.snapshot();
   MiceRoutingTable table(g, {4, 2, 0});
   Rng rng(47);
-  const RouteResult r = route_mice(g, tx(0, 3, 50), s, fees, table, rng);
+  const RouteResult r = route_mice(g, tx(0, 3, 50), s, fees, table, rng,
+                                   scratch);
   EXPECT_FALSE(r.success);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     EXPECT_DOUBLE_EQ(s.balance(e), snap.balance[e]);
@@ -365,6 +418,7 @@ TEST(RouteMice, FailureRollsBackAllPartials) {
 }
 
 TEST(RouteMice, DeadPathGetsReplaced) {
+  GraphScratch scratch;
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees(g);
   NetworkState s(g);
@@ -378,7 +432,8 @@ TEST(RouteMice, DeadPathGetsReplaced) {
   // dead path must eventually be replaced in the table.
   bool succeeded = false;
   for (int attempt = 0; attempt < 4 && !succeeded; ++attempt) {
-    succeeded = route_mice(g, tx(0, 3, 10), s, fees, table, rng).success;
+    succeeded = route_mice(g, tx(0, 3, 10), s, fees, table, rng,
+                           scratch).success;
   }
   EXPECT_TRUE(succeeded);
 }

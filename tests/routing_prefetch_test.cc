@@ -63,12 +63,13 @@ std::vector<Pair> distinct_pairs(const Graph& g, std::size_t n,
 /// the spares in their exact order. Consumes the entry.
 std::vector<std::vector<Path>> drain_entry(MiceRoutingTable& t, NodeId s,
                                            NodeId r) {
+  GraphScratch scratch;
   std::vector<std::vector<Path>> seq;
-  seq.push_back(t.lookup(s, r));
+  seq.push_back(t.lookup(s, r, scratch));
   while (!seq.back().empty()) {
     const Path dead = seq.back().front();
     t.replace_dead_path(s, r, dead);
-    seq.push_back(t.lookup(s, r));
+    seq.push_back(t.lookup(s, r, scratch));
   }
   return seq;
 }
@@ -117,11 +118,12 @@ TEST(RoutingTablePrefetch, FinishedResultsMatchPlainTable) {
 }
 
 TEST(RoutingTablePrefetch, CachedOrRequestedPairsAreNotRequestedAgain) {
+  GraphScratch scratch;
   const Graph& g = ripple();
   MiceRoutingTable table(g, kTable);
   ASSERT_TRUE(table.start_prefetch(2));
   const auto pairs = distinct_pairs(g, 3, 12);
-  table.lookup(pairs[0].first, pairs[0].second);  // cached
+  table.lookup(pairs[0].first, pairs[0].second, scratch);  // cached
   for (const auto& [s, r] : pairs) table.prefetch(s, r);
   for (const auto& [s, r] : pairs) table.prefetch(s, r);  // requested
   EXPECT_EQ(table.prefetch_stats().requested, 2u);
@@ -219,13 +221,14 @@ TEST(RoutingTablePrefetch, ClearDropsOutstandingRequests) {
 }
 
 TEST(RoutingTablePrefetch, DestructionJoinsOutstandingRequests) {
+  GraphScratch scratch;
   const Graph& g = ripple();
   const auto pairs = distinct_pairs(g, 24, 15);
   for (int round = 0; round < 3; ++round) {
     auto table = std::make_unique<MiceRoutingTable>(g, kTable);
     ASSERT_TRUE(table->start_prefetch(2));
     for (const auto& [s, r] : pairs) table->prefetch(s, r);
-    table->lookup(pairs[5].first, pairs[5].second);
+    table->lookup(pairs[5].first, pairs[5].second, scratch);
     table.reset();  // must not hang, race or leak
   }
 }
@@ -278,6 +281,7 @@ TEST(RoutingTablePrefetch, MaskedRequestIsAdoptedUnderByteEqualMask) {
 }
 
 TEST(RoutingTablePrefetch, RequestUnderAnotherMaskIsComputedInline) {
+  GraphScratch scratch;
   const Graph& g = ripple();
   const std::vector<unsigned char> mask = sparse_mask(g);
   // Requests made without a mask, then looked up under one; and requests
@@ -289,7 +293,7 @@ TEST(RoutingTablePrefetch, RequestUnderAnotherMaskIsComputedInline) {
   for (const auto& [s, r] : distinct_pairs(g, 32, 17)) {
     MiceRoutingTable probe(g, kTable);
     probe.set_open_mask(mask.data());
-    const auto& active = probe.lookup(s, r);
+    const auto& active = probe.lookup(s, r, scratch);
     if (active.empty()) continue;
     pairs.emplace_back(s, r);
     lookup_masks.push_back(mask);
@@ -323,6 +327,7 @@ TEST(RoutingTablePrefetch, RequestUnderAnotherMaskIsComputedInline) {
 }
 
 TEST(RoutingTablePrefetch, TwoTablesBorrowOnePrefetcher) {
+  GraphScratch scratch;
   const Graph& g = ripple();
   std::vector<Path> scratch_paths;
   const std::vector<unsigned char> mask = sparse_mask(g);
@@ -363,7 +368,7 @@ TEST(RoutingTablePrefetch, TwoTablesBorrowOnePrefetcher) {
   // lender that cannot see the borrower's entries) dies at the lookup hit.
   const auto [s0, r0] = pairs.front();
   ASSERT_TRUE(prefetcher.request(s0, r0, nullptr));
-  a.lookup(s0, r0);
+  a.lookup(s0, r0, scratch);
   EXPECT_EQ(prefetcher.stats().discarded, 1u);
   EXPECT_FALSE(prefetcher.take(s0, r0, nullptr, scratch_paths));
 

@@ -157,7 +157,7 @@ for name in ("BENCH_micro_algorithms.json", "BENCH_micro_routing.json"):
         merged["benchmarks"].extend(report["benchmarks"])
 
 # The scratch-based graph-core benches ride along as their own section so
-# the graph layer's perf trajectory is tracked separately from the legacy
+# the graph layer's perf trajectory is tracked separately from the
 # micro benches; the LP fee-split pipeline gets the same treatment.
 with open(out / "BENCH_graph_core.json") as f:
     merged["graph_core"] = json.load(f)["benchmarks"]
