@@ -73,13 +73,16 @@ struct DijkstraCoreResult {
 /// one — callers may prune with it whenever they would discard costlier
 /// results anyway (Yen's candidate bound).
 ///
-/// Under a hop weight (kIsHopWeight) an s->t query stops as soon as t is
-/// first labeled, and skips an already-labeled head before its ban and
-/// weight lookups. Both are exact: nodes pop in non-decreasing distance,
-/// so a later relaxation of a labeled node offers d + 1 >= its label and
-/// never replaces it. The heap's push/pop sequence up to t's first label
-/// is that of the full loop, so found, distance and path are bit-identical
-/// to it, cutoff included.
+/// Under a hop weight (kIsHopWeight) an s->t query runs the hop-count
+/// loop: it stops as soon as t is first labeled, and skips an
+/// already-labeled head before its ban and weight lookups. Both are exact:
+/// nodes pop in non-decreasing distance, so a later relaxation of a
+/// labeled node offers d + 1 >= its label and never replaces it. Its heap
+/// holds 8-byte HopEntry labels; they are exact small integers, so every
+/// comparison answers as DistEntry's double compare does and the heap
+/// makes the same moves. The push/pop sequence up to t's first label is
+/// that of the full loop, so found, distance and path are bit-identical to
+/// it, cutoff included.
 ///
 /// Contract: after an s->t query, scratch.dist/scratch.parent hold only a
 /// partial tree: whatever was labeled before the search stopped. Read an
@@ -108,10 +111,7 @@ DijkstraCoreResult dijkstra_core(
     return result;
   }
   const double inf = std::numeric_limits<double>::infinity();
-  auto& heap = scratch.heap;
-  heap.clear();
   scratch.dist.set(s, 0.0);
-  heap.push_back({0.0, s});  // no push_heap needed for a single element
   // Raw views (see StampedArray::View): epochs and array bases stay in
   // registers across the whole search. The ban views are only indexed
   // when use_bans is set, in which case the caller (Yen / edge-disjoint)
@@ -121,11 +121,35 @@ DijkstraCoreResult dijkstra_core(
   const auto nban = scratch.node_ban.view();
   const auto eban = scratch.edge_ban.view();
   const bool finalized = g.finalized();
-  // The search loop, stamped out once per ban mode so the per-edge ban
-  // checks vanish entirely from the no-bans instantiation (the branch
-  // would otherwise run for every relaxed edge), and once more per ban
-  // mode as the hop-count loop (`hops`) that hop weights run.
-  auto search = [&](auto bans, auto hops) {
+  // Calls relax(e, head) for each out-edge of u in order until it returns
+  // true; returns whether it did.
+  auto for_each_out = [&](NodeId u, auto&& relax) {
+    if (finalized) {
+      // Packed-arc loop: head node in the same sequential stream as the
+      // edge id (see Graph::out_arcs); relaxation order is identical.
+      for (const Graph::Arc a : g.out_arcs(u)) {
+        if (relax(a.edge, a.head)) return true;
+      }
+    } else {
+      for (EdgeId e : g.out_edges(u)) {
+        if (relax(e, g.to(e))) return true;
+      }
+    }
+    return false;
+  };
+  // Both search loops are stamped out once per ban mode, so the per-edge
+  // ban checks vanish entirely from the no-bans instantiation (the branch
+  // would otherwise run for every relaxed edge).
+  auto banned = [&](auto bans, EdgeId e, NodeId v) {
+    if constexpr (bans.value) {
+      return nban.get_or(v, 0) || eban.get_or(e, 0);
+    }
+    return false;
+  };
+  auto search = [&](auto bans) {
+    auto& heap = scratch.heap;
+    heap.clear();
+    heap.push_back({0.0, s});  // no push_heap needed for a single element
     while (!heap.empty()) {
       const auto [d, u] = heap.front();
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -133,45 +157,52 @@ DijkstraCoreResult dijkstra_core(
       if (d > cutoff) break;  // everything still queued costs > cutoff
       if (d > dist.get_or(u, inf)) continue;  // stale entry
       if (u == t) break;  // never taken in all-targets mode
-      // True once the hop-count loop has labeled t: that label is final.
-      auto relax = [&](EdgeId e, NodeId v) {
-        if constexpr (hops.value) {
-          if (dist.contains(v)) return false;  // label d' + 1 <= d + 1
-        }
-        if constexpr (bans.value) {
-          if (nban.get_or(v, 0)) return false;
-          if (eban.get_or(e, 0)) return false;
-        }
+      for_each_out(u, [&](EdgeId e, NodeId v) {
+        if (banned(bans, e, v)) return false;
         const double w = weight(e);
         if (w == kEdgeBanned) return false;
         const double nd = d + w;
         if (nd < dist.get_or(v, inf)) {
           dist.set(v, nd);
           parent.set(v, e);
-          if (hops.value && v == t) return true;
           heap.push_back({nd, v});
           std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
         return false;
-      };
-      if (finalized) {
-        // Packed-arc loop: head node in the same sequential stream as the
-        // edge id (see Graph::out_arcs); relaxation order is identical.
-        for (const Graph::Arc a : g.out_arcs(u)) {
-          if (relax(a.edge, a.head)) return;
-        }
-      } else {
-        for (EdgeId e : g.out_edges(u)) {
-          if (relax(e, g.to(e))) return;
-        }
-      }
+      });
+    }
+  };
+  // The hop-count loop. A labeled node is never relabeled, so no entry
+  // goes stale, and the loop returns as soon as t is labeled, so t is
+  // never queued: it needs neither the stale-entry nor the u == t check.
+  auto hop_search = [&](auto bans) {
+    auto& heap = scratch.hop_heap;
+    heap.clear();
+    heap.push_back({0, s});
+    while (!heap.empty()) {
+      const auto [h, u] = heap.front();
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      heap.pop_back();
+      if (static_cast<double>(h) > cutoff) break;
+      const bool reached_t = for_each_out(u, [&](EdgeId e, NodeId v) {
+        if (dist.contains(v)) return false;  // label h' + 1 <= h + 1
+        if (banned(bans, e, v)) return false;
+        if (weight(e) == kEdgeBanned) return false;
+        dist.set(v, static_cast<double>(h + 1));
+        parent.set(v, e);
+        if (v == t) return true;
+        heap.push_back({h + 1, v});
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        return false;
+      });
+      if (reached_t) return;
     }
   };
   auto run = [&](auto bans) {
     if constexpr (kIsHopWeight<std::remove_cvref_t<WeightFn>>) {
-      if (!all_targets) return search(bans, std::true_type{});
+      if (!all_targets) return hop_search(bans);
     }
-    search(bans, std::false_type{});
+    search(bans);
   };
   if (use_bans) {
     run(std::true_type{});

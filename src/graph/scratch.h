@@ -142,6 +142,16 @@ struct DistEntry {
   bool operator>(const DistEntry& o) const { return dist > o.dist; }
 };
 
+/// Entry of dijkstra's hop-count frontier heap: a DistEntry whose label is
+/// an integer. Hop labels are exact small integers, so comparing them as
+/// integers answers every comparison as DistEntry's double compare does,
+/// and push_heap/pop_heap make the same moves on half the bytes.
+struct HopEntry {
+  std::uint32_t hops;
+  NodeId node;
+  bool operator>(const HopEntry& o) const { return hops > o.hops; }
+};
+
 /// One reusable workspace for all graph algorithms. Plain struct: the
 /// algorithm cores in graph/*.h are the only intended users of the fields;
 /// callers just construct one and thread it through. See the file comment
@@ -149,7 +159,8 @@ struct DistEntry {
 struct GraphScratch {
   // --- Per-query node state (epoch-reset by each search) ---------------
   StampedArray<double> dist;        // dijkstra tentative distances
-  StampedArray<std::uint32_t> hops; // bfs hop counts
+  StampedArray<std::uint32_t> hops; // bfs hop counts; distance to t in
+                                    // bfs_path_core's backward search
   StampedArray<EdgeId> parent;      // discovering edge per node ("seen")
 
   // --- Ban marks (independent epochs: set once, survive the inner
@@ -159,7 +170,9 @@ struct GraphScratch {
 
   // --- Search containers (capacity retained across queries) ------------
   std::vector<NodeId> bfs_queue;    // FIFO ring, head index is query-local
+  std::vector<NodeId> bfs_back_queue;  // bfs_path_core's backward FIFO
   std::vector<DistEntry> heap;      // dijkstra frontier (push/pop_heap)
+  std::vector<HopEntry> hop_heap;   // dijkstra's hop-count frontier
 
   // --- Path construction ------------------------------------------------
   PathPool pool;                    // recycled path buffers

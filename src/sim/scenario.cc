@@ -64,6 +64,15 @@ inline void fold64(std::uint64_t& h, std::uint64_t v) noexcept {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
 
+/// Yen prefetch helpers: one per CPU this process may run on, none on a
+/// single CPU (the engine thread then routes every payment inline). The
+/// engine thread needs no CPU of its own: it spends most of a prefetched
+/// run waiting on the helpers' Yen.
+std::size_t prefetch_helpers() {
+  const std::size_t cpus = ThreadPool::hardware_threads();
+  return cpus > 1 ? cpus : 0;
+}
+
 /// BFS pivots sampled for the hub outage's approximate betweenness ranking
 /// (graph/topology.h approx_betweenness).
 constexpr std::size_t kHubBetweennessSamples = 32;
@@ -496,7 +505,7 @@ void ScenarioEngine::release_read_ahead() {
 }
 
 void ScenarioEngine::start_prefetch() {
-  const std::size_t helpers = ThreadPool::hardware_threads() - 1;
+  const std::size_t helpers = prefetch_helpers();
   if (helpers > 0 && stream_->size() > 0 &&
       base_router_->start_prefetch(helpers)) {
     prefetch_router_ = base_router_.get();
@@ -507,17 +516,35 @@ void ScenarioEngine::prefetch_ahead() {
   const std::size_t depth = pristine_ ? kPrefetchDepth : kViewPrefetchDepth;
   const std::size_t end = std::min(stream_->size(), next_arrival_ + depth);
   prefetch_end_ = std::max(prefetch_end_, next_arrival_);
+  if (!pristine_) {
+    // A hint whose sender's view moved on would be refused at lookup
+    // (another mask) and its Yen computed inline; this re-hint lets the
+    // helpers compute it under the mask the lookup will use.
+    for (std::size_t i = next_arrival_; i < prefetch_end_; ++i) {
+      if (hint_version_[i % kViewPrefetchDepth] !=
+          gossip_.view_version(read_ahead_.at(i).sender)) {
+        hint_view(i);
+      }
+    }
+  }
   for (; prefetch_end_ < end; ++prefetch_end_) {
     if (!read_ahead_.fill(prefetch_end_, *stream_)) return;
-    const Transaction& tx = read_ahead_.at(prefetch_end_);
-    if (!pristine_) {
-      // The mask the sender's context will route under unless its view
-      // changes first (then the lookup refuses the request).
-      fill_view_mask(tx.sender, hint_mask_);
-      prefetch_router_->set_open_mask(hint_mask_.data());
+    if (pristine_) {
+      prefetch_router_->prefetch(read_ahead_.at(prefetch_end_));
+    } else {
+      hint_view(prefetch_end_);
     }
-    prefetch_router_->prefetch(tx);
   }
+}
+
+void ScenarioEngine::hint_view(std::size_t idx) {
+  const Transaction& tx = read_ahead_.at(idx);
+  // The mask the sender's context will route under unless its view
+  // changes first.
+  fill_view_mask(tx.sender, hint_mask_);
+  hint_version_[idx % kViewPrefetchDepth] = gossip_.view_version(tx.sender);
+  prefetch_router_->set_open_mask(hint_mask_.data());
+  prefetch_router_->prefetch(tx);
 }
 
 void ScenarioEngine::stop_prefetch() {
@@ -536,12 +563,13 @@ void ScenarioEngine::end_pristine_era() {
   build_view_graph();
   // Replay parks its pipeline at this close and routes on; its stale-view
   // routers keep routing inline, unhinted.
-  const std::size_t helpers = ThreadPool::hardware_threads() - 1;
+  const std::size_t helpers = prefetch_helpers();
   if (concurrent_ || helpers == 0) return;
   std::unique_ptr<Router> lender = make_view_router(seed_);
   if (!lender->start_prefetch(helpers)) return;
   view_prefetcher_ = std::move(lender);
   hint_mask_.resize(view_graph_.num_edges());
+  hint_version_.resize(kViewPrefetchDepth);
   prefetch_router_ = view_prefetcher_.get();
   // Hints restart at the next arrival to stage; the staged one routes
   // unhinted.

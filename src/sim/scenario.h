@@ -614,25 +614,34 @@ class ScenarioEngine {
   // helpers can run the mice table's Yen ahead of the arrival cursor. In
   // the pristine era that router is base_router_. From the first close,
   // incremental maintenance hints view_prefetcher_ instead, under the
-  // sender's current view mask, and every stale-view router borrows its
-  // helpers. Exact because a request is adopted only under a byte-equal
+  // sender's current view mask (again if that view changes before the
+  // payment routes), and every stale-view router borrows its helpers.
+  // Exact because a request is adopted only under a byte-equal
   // mask over the same immutable graph; see docs/ARCHITECTURE.md "Yen
   // prefetch".
 
   /// Payments hinted ahead of the staged arrival in the pristine era.
   static constexpr std::size_t kPrefetchDepth = 1024;
-  /// Payments hinted ahead after the first close. A hint's mask is stale
-  /// once its sender's view changes, so this trades lead time against
-  /// mask hits. On perfbench churn-gossip (seed 11, 4-vCPU Xeon VM, one
-  /// run each) depths 4, 8, 16 and 32 gave 1,739, 1,711, 1,599 and 1,342
-  /// pay/s; helpers served 82, 78, 67 and 49 % of the misses they had a
-  /// request for.
+  /// Payments hinted ahead after the first close. A payment whose
+  /// sender's view changes before it routes is hinted again, so depth
+  /// trades lead time against helper work spent on masks that go stale.
+  /// On perfbench churn-gossip (seeds 1102 / 1106, 4-vCPU Xeon VM, one
+  /// run each) depths 4, 8 and 16 gave p50 173 / 131, 111 / 94 and
+  /// 83 / 62 us, p99 2,588 / 2,154, 2,692 / 2,408 and 3,048 / 3,043 us,
+  /// and 2,186 / 2,589, 2,400 / 2,542 and 2,407 / 2,584 pay/s.
   static constexpr std::size_t kViewPrefetchDepth = 8;
-  /// Starts the pristine router's prefetch on hardware_threads() - 1
-  /// helpers (none on a 1-thread host: the plain path runs unchanged).
+  /// Starts the pristine router's prefetch on one helper per CPU the
+  /// process may run on (ThreadPool::hardware_threads()), none on a single
+  /// CPU: the plain path then runs unchanged. The engine thread gets no
+  /// CPU of its own, since it spends most of the run waiting on helpers.
   void start_prefetch();
   /// Hints every payment up to the era's depth past the staging cursor.
+  /// After the first close it first hints again every hinted payment
+  /// whose sender's view changed since its hint.
   void prefetch_ahead();
+  /// Hints stream payment `idx` to view_prefetcher_ under its sender's
+  /// current view mask and records that view's version.
+  void hint_view(std::size_t idx);
   /// Ends the current era's prefetch: the prefetching router cancels its
   /// queue and joins its helpers. Idempotent.
   void stop_prefetch();
@@ -793,6 +802,9 @@ class ScenarioEngine {
   // Declared before contexts_ so the borrowers are destroyed first.
   std::unique_ptr<Router> view_prefetcher_;
   std::vector<unsigned char> hint_mask_;
+  // Sender view version each hinted payment was hinted under, by stream
+  // index mod kViewPrefetchDepth (the hint window is never longer).
+  std::vector<std::uint64_t> hint_version_;
 
   SenderRouterCache contexts_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;

@@ -6,9 +6,22 @@
 #include <memory>
 #include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace flash {
 
 std::size_t ThreadPool::hardware_threads() noexcept {
+#if defined(__linux__) && defined(CPU_COUNT)
+  // hardware_concurrency counts the host's CPUs even under an affinity
+  // mask (taskset, cgroup cpusets), so ask for the ones we may run on.
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0 && CPU_COUNT(&cpus) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&cpus));
+  }
+#endif
   const unsigned n = std::thread::hardware_concurrency();
   return n > 0 ? static_cast<std::size_t>(n) : 1;
 }

@@ -44,7 +44,9 @@ class ThreadPool {
   /// Blocks until the queue is empty and every worker is idle.
   void wait_idle();
 
-  /// std::thread::hardware_concurrency with a floor of 1.
+  /// The number of CPUs this process may run on (its affinity mask where
+  /// the platform reports one, else std::thread::hardware_concurrency),
+  /// with a floor of 1.
   static std::size_t hardware_threads() noexcept;
 
  private:

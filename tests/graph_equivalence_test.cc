@@ -545,8 +545,11 @@ TEST(DijkstraEquivalence, HopWeightsMatchFullLoop) {
         const RefDijkstraResult want = ref_dijkstra(*g, s, t, ref_fn, node_ban);
         if (want.found && use_bans) ++found_under_bans;
         const double d = want.distance;
+        // Yen's spur cutoffs carry a 1e-9 slack (yen.h), so the
+        // fractional d - 1 + 1e-9 and d + 1e-9 are the ones it passes.
         const std::vector<double> cutoffs =
-            want.found ? std::vector<double>{d - 1, d, d + 1, inf}
+            want.found ? std::vector<double>{d - 1, d - 1 + 1e-9, d,
+                                             d + 1e-9, d + 1, inf}
                        : std::vector<double>{3.0, inf};
         for (const double cutoff : cutoffs) {
           Path got_path, full_path;
@@ -657,6 +660,204 @@ TEST(BfsHardening, OutOfRangeEndpoints) {
   // The search itself is a no-op from an out-of-range source.
   bfs_core(g, kInvalidNode, 0, scratch, AdmitAll{});
   EXPECT_FALSE(scratch.parent.contains(0));
+}
+
+// bfs_path_core searches a finalized graph from both ends; its path must be
+// the forward loop's (ref_bfs_path) edge for edge.
+
+/// Finalized multigraph over `n` nodes with the given channels, in order.
+Graph multigraph(std::size_t n,
+                 const std::vector<std::pair<NodeId, NodeId>>& channels) {
+  Graph g(n);
+  for (const auto& [u, v] : channels) g.add_channel(u, v);
+  g.finalize();
+  return g;
+}
+
+/// bfs_path_core's path appended to `prefix`, and whether it found one.
+template <typename FilterFn>
+std::pair<bool, Path> bidi_path(const Graph& g, NodeId s, NodeId t,
+                                GraphScratch& scratch, FilterFn admit,
+                                Path prefix = {}) {
+  const bool found = bfs_path_core(g, s, t, scratch, admit, prefix);
+  return {found, prefix};
+}
+
+TEST(BfsBidirectional, ParallelChannelsTieBreakLikeForwardLoop) {
+  // Two shortest routes 0-1-3-5 and 0-2-4-5, every hop doubled or tripled.
+  const Graph g = multigraph(6, {{0, 1}, {0, 2}, {0, 1}, {1, 3}, {2, 4},
+                                 {1, 3}, {3, 5}, {4, 5}, {3, 5}, {0, 2},
+                                 {2, 4}, {4, 5}, {3, 5}});
+  GraphScratch scratch;
+  // Closes one direction of channel `c` at a time (c == num_channels()
+  // closes nothing): the forward loop's tie-break must move to the next
+  // parallel channel or the other route.
+  for (std::size_t c = 0; c <= g.num_channels(); ++c) {
+    for (const EdgeId dir : {EdgeId{0}, EdgeId{1}}) {
+      const EdgeId closed = static_cast<EdgeId>(2 * c) + dir;
+      auto admit = [closed](EdgeId e) { return e != closed; };
+      for (NodeId s = 0; s < g.num_nodes(); ++s) {
+        for (NodeId t = 0; t < g.num_nodes(); ++t) {
+          const auto [found, path] = bidi_path(g, s, t, scratch, admit);
+          EXPECT_TRUE(found);
+          EXPECT_EQ(path, ref_bfs_path(g, s, t, admit))
+              << "s=" << s << " t=" << t << " closed=" << closed;
+        }
+      }
+    }
+  }
+}
+
+TEST(BfsBidirectional, ResidualFilterChangingBetweenCalls) {
+  // Algorithm 1's loop: each path's bottleneck is pushed through it, which
+  // closes some forward directions and opens reverse ones before the next
+  // call. A mask closes 10 % of the directions outright.
+  const Graph& g = medium_graph();
+  Rng rng(43);
+  std::vector<unsigned char> open(g.num_edges());
+  for (auto& o : open) o = rng.chance(0.1) ? 0 : 1;
+  std::vector<double> residual(g.num_edges());
+  GraphScratch scratch;
+  int paths = 0;
+  for (int pair = 0; pair < 60; ++pair) {
+    const auto [s, t] = random_pair(rng, g);
+    for (auto& r : residual) r = rng.chance(0.3) ? 0.0 : rng.uniform(1, 4);
+    auto admit = [&](EdgeId e) { return open[e] != 0 && residual[e] > 0; };
+    for (int call = 0; call < 20; ++call) {
+      const auto [found, path] = bidi_path(g, s, t, scratch, admit);
+      ASSERT_EQ(path, ref_bfs_path(g, s, t, admit))
+          << "s=" << s << " t=" << t << " call=" << call;
+      ASSERT_EQ(found, s == t || !path.empty());
+      if (path.empty()) break;
+      ++paths;
+      double bottleneck = residual[path[0]];
+      for (const EdgeId e : path) {
+        bottleneck = std::min(bottleneck, residual[e]);
+      }
+      for (const EdgeId e : path) {
+        residual[e] -= bottleneck;
+        residual[g.reverse(e)] += bottleneck;
+      }
+    }
+  }
+  EXPECT_GT(paths, 200);
+}
+
+TEST(BfsBidirectional, UnreachableWhicheverSideRunsDryFirst) {
+  // Nodes 0-1-2 form a short path; 3..12 a dense clique. From 0 the
+  // forward side is the smaller frontier and runs dry first; towards 0
+  // the backward side does.
+  std::vector<std::pair<NodeId, NodeId>> channels = {{0, 1}, {1, 2}};
+  for (NodeId u = 3; u < 13; ++u) {
+    for (NodeId v = u + 1; v < 13; ++v) channels.emplace_back(u, v);
+  }
+  const Graph g = multigraph(13, channels);
+  GraphScratch scratch;
+  for (const auto& [s, t] : {std::pair<NodeId, NodeId>{0, 7},
+                             std::pair<NodeId, NodeId>{7, 0},
+                             std::pair<NodeId, NodeId>{2, 12},
+                             std::pair<NodeId, NodeId>{12, 2}}) {
+    const auto [found, path] = bidi_path(g, s, t, scratch, AdmitAll{}, {42});
+    EXPECT_FALSE(found) << "s=" << s << " t=" << t;
+    EXPECT_EQ(path, Path{42});  // a failed search appends nothing
+  }
+  // Connected, but only against the admitted direction: 1 -> 2 is closed.
+  auto one_way = [](EdgeId e) { return e != 2; };
+  EXPECT_FALSE(bidi_path(g, 0, 2, scratch, one_way).first);
+  EXPECT_EQ(bidi_path(g, 2, 0, scratch, one_way).second,
+            ref_bfs_path(g, 2, 0, one_way));
+}
+
+TEST(BfsBidirectional, AdjacentBehindFilteredParallelChannel) {
+  // s = 0 and t = 1 share three channels; the detour 0-2-1 is longer.
+  const Graph g = multigraph(3, {{0, 1}, {1, 0}, {0, 2}, {2, 1}, {0, 1}});
+  GraphScratch scratch;
+  const std::vector<std::vector<EdgeId>> closed_sets = {
+      {}, {0}, {0, 3}, {0, 3, 8}, {1, 2, 9}, {0, 3, 8, 5}};
+  for (const auto& closed : closed_sets) {
+    auto admit = [&closed](EdgeId e) {
+      return std::find(closed.begin(), closed.end(), e) == closed.end();
+    };
+    for (const auto& [s, t] : {std::pair<NodeId, NodeId>{0, 1},
+                               std::pair<NodeId, NodeId>{1, 0}}) {
+      const auto [found, path] = bidi_path(g, s, t, scratch, admit);
+      EXPECT_EQ(path, ref_bfs_path(g, s, t, admit)) << "s=" << s;
+      EXPECT_EQ(found, !path.empty());
+    }
+  }
+}
+
+TEST(BfsBidirectional, PrefixEndpointsAndUnfinalizedGraph) {
+  const Graph& g = small_world_graph();
+  GraphScratch scratch;
+  // The path is appended after a non-empty prefix, which is kept.
+  Path want = {5, 6};
+  const Path tail = ref_bfs_path(g, 3, 77);
+  ASSERT_FALSE(tail.empty());
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_EQ(bidi_path(g, 3, 77, scratch, AdmitAll{}, {5, 6}).second, want);
+  // s == t: found, nothing appended.
+  EXPECT_EQ(bidi_path(g, 9, 9, scratch, AdmitAll{}, {5}),
+            (std::pair<bool, Path>{true, {5}}));
+  // Out-of-range ends: not found, nothing appended.
+  const auto n = static_cast<NodeId>(g.num_nodes());
+  EXPECT_EQ(bidi_path(g, 0, n, scratch, AdmitAll{}, {5}),
+            (std::pair<bool, Path>{false, {5}}));
+  EXPECT_EQ(bidi_path(g, n, 0, scratch, AdmitAll{}, {5}),
+            (std::pair<bool, Path>{false, {5}}));
+  // An unfinalized graph runs the forward loop: same paths.
+  Graph copy = g;
+  copy.add_node();
+  ASSERT_FALSE(copy.finalized());
+  Rng rng(44);
+  const auto drop_some = [](EdgeId e) { return e % 5 != 2; };
+  for (int i = 0; i < 50; ++i) {
+    const auto [s, t] = random_pair(rng, g);
+    EXPECT_EQ(bidi_path(copy, s, t, scratch, drop_some).second,
+              ref_bfs_path(g, s, t, drop_some));
+  }
+}
+
+TEST(BfsBidirectional, RandomMultigraphsMatchForwardLoop) {
+  // Small random multigraphs, dense in parallel channels, each queried
+  // under a per-direction filter that flips a few directions between
+  // calls; some queries carry a prefix.
+  Rng rng(45);
+  GraphScratch scratch;
+  int found_count = 0;
+  int queries = 0;
+  for (int graph = 0; graph < 3000; ++graph) {
+    const std::size_t n = 2 + rng.next_below(24);
+    std::vector<std::pair<NodeId, NodeId>> channels;
+    const std::size_t m = rng.next_below(3 * n);
+    for (std::size_t c = 0; c < m; ++c) {
+      const auto u = static_cast<NodeId>(rng.next_below(n));
+      auto v = static_cast<NodeId>(rng.next_below(n - 1));
+      if (v >= u) ++v;
+      channels.emplace_back(u, v);
+    }
+    const Graph g = multigraph(n, channels);
+    std::vector<char> admitted(g.num_edges());
+    for (auto& a : admitted) a = rng.chance(0.75);
+    auto admit = [&admitted](EdgeId e) { return admitted[e] != 0; };
+    for (int q = 0; q < 40; ++q, ++queries) {
+      for (int flip = 0; flip < 2 && !admitted.empty(); ++flip) {
+        admitted[rng.next_below(admitted.size())] ^= 1;
+      }
+      const auto s = static_cast<NodeId>(rng.next_below(n));
+      const auto t = static_cast<NodeId>(rng.next_below(n));
+      Path prefix;
+      if (rng.chance(0.25)) prefix = {7, 3};
+      const auto [found, path] = bidi_path(g, s, t, scratch, admit, prefix);
+      Path want = prefix;
+      const Path ref = ref_bfs_path(g, s, t, admit);
+      want.insert(want.end(), ref.begin(), ref.end());
+      ASSERT_EQ(path, want) << "graph=" << graph << " s=" << s << " t=" << t;
+      ASSERT_EQ(found, s == t || !ref.empty());
+      found_count += found && s != t;
+    }
+  }
+  EXPECT_GT(found_count, queries / 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -544,7 +544,8 @@ TEST(ScenarioPrefetch, FirstChurnCloseHandsPrefetchToViewRouters) {
 
 TEST(ScenarioPrefetch, ChurnRunsMatchTheirOracles) {
   // Churn with gossip delay: view masks change between a payment's hint
-  // and its lookup, so some requests are adopted and some refused. With
+  // and its lookup, so the engine hints some payments again, and some
+  // requests are adopted and some refused. With
   // one context slot every sender change also recycles the router that
   // borrows the prefetcher. Strict maintenance must equal the full
   // rebuild, and lazy (not path-identical to it for Flash) must equal

@@ -8,12 +8,37 @@
 
 #include "util/thread_pool.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace flash {
 namespace {
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
+
+#if defined(__linux__) && defined(CPU_COUNT)
+TEST(ThreadPool, HardwareThreadsCountsOnlyAllowedCpus) {
+  // Pin this thread to the first CPU it may run on (what `taskset -c`
+  // does to a process), then restore its mask.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_EQ(ThreadPool::hardware_threads(),
+            static_cast<std::size_t>(CPU_COUNT(&allowed)));
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = ThreadPool::hardware_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 TEST(ThreadPool, ZeroMeansHardwareThreads) {
   ThreadPool pool(0);

@@ -4,8 +4,10 @@
 #   tools/ab.sh <base-ref> <workload> [pairs=10] [seed=1]
 #
 # Compares the working tree this script lives in (the change) against
-# <base-ref> (the parent): checks the base out into a temporary detached
-# worktree, then runs each tree's own `perfbench/run.py --seconds 30
+# <base-ref> (the parent). A <base-ref> that names a directory is used as
+# the parent tree as it stands (say, a `git archive` of the parent
+# commit); any other <base-ref> is checked out into a temporary detached
+# worktree. It then runs each tree's own `perfbench/run.py --seconds 30
 # --trace 0` alternately, <pairs> times, parent first on odd pairs and
 # change first on even ones, so drift on a noisy host lands on both sides
 # alike. run.py builds each tree's driver on first use, before it times
@@ -23,7 +25,7 @@
 # output-preserving change. Raw result lines are kept in a temporary
 # directory whose path is printed.
 #
-# The worktree is removed on exit; nothing under perfbench/ is edited.
+# A worktree is removed on exit; nothing under perfbench/ is edited.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 4 ]]; then
@@ -37,17 +39,21 @@ SEED="${4:-1}"
 SECONDS_PER_RUN=30
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-BASE_TREE="$(mktemp -d "${TMPDIR:-/tmp}/ab-base.XXXXXX")"
 OUT_DIR="$(mktemp -d "${TMPDIR:-/tmp}/ab-runs.XXXXXX")"
 
-cleanup() {
-  git -C "${REPO_ROOT}" worktree remove --force "${BASE_TREE}" 2>/dev/null ||
-    rm -rf "${BASE_TREE}"
-  git -C "${REPO_ROOT}" worktree prune
-}
-trap cleanup EXIT
-
-git -C "${REPO_ROOT}" worktree add --quiet --detach "${BASE_TREE}" "${BASE_REF}"
+if [[ -d "${BASE_REF}" ]]; then
+  BASE_TREE="$(cd "${BASE_REF}" && pwd)"
+else
+  BASE_TREE="$(mktemp -d "${TMPDIR:-/tmp}/ab-base.XXXXXX")"
+  cleanup() {
+    git -C "${REPO_ROOT}" worktree remove --force "${BASE_TREE}" 2>/dev/null ||
+      rm -rf "${BASE_TREE}"
+    git -C "${REPO_ROOT}" worktree prune
+  }
+  trap cleanup EXIT
+  git -C "${REPO_ROOT}" worktree add --quiet --detach "${BASE_TREE}" \
+    "${BASE_REF}"
+fi
 
 run_side() { # run_side NAME TREE PAIR
   echo "pair $3: $1"
