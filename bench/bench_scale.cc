@@ -4,10 +4,15 @@
 // payment stream and a bounded per-sender router cache.
 //
 // This is the tentpole measurement for the ROADMAP's scale work: workload
-// memory is O(1) in the payment count (GeneratedWorkloadStream), per-sender
-// routing state is O(network x K) (SenderRouterCache), and the topology
-// comes through the snapshot-materialization path (make_snapshot_workload)
-// so the bench exercises the same plumbing a real crawled snapshot would.
+// memory is O(1) in the payment count (GeneratedWorkloadStream), and the
+// topology comes through the snapshot-materialization path
+// (make_snapshot_workload) so the bench exercises the same plumbing a real
+// crawled snapshot would. Per-sender routing state is bounded by K live
+// contexts (SenderRouterCache). Under incremental maintenance a context is
+// only an open mask (one byte per directed edge, ~287 KB at 10k nodes)
+// and a routing table: every context shares one mirror ledger and the
+// pristine router's search workspaces. A full rebuild keeps a compacted
+// graph, mirror and workspaces per context: O(network x K).
 //
 // Modes: FLASH_BENCH_SMOKE runs one 2k-node cell sized for a CI gate;
 // FLASH_BENCH_FAST one 10k-node cell; the default runs 10k and 50k nodes

@@ -12,9 +12,9 @@
 // Ownership and threading contract:
 //  - A scratch is NOT thread-safe and has hard thread affinity: it may only
 //    be used by one thread at a time. Every caller of a graph algorithm
-//    passes a scratch it owns: each router (FlashRouter, ShortestPathRouter,
-//    SpiderRouter) embeds one, the same way each owns its own Rng and
-//    MiceRoutingTable, and one-off queries use a local.
+//    passes a scratch: each router (FlashRouter, ShortestPathRouter,
+//    SpiderRouter) embeds one or borrows another router's
+//    (Router::borrow_workspace), and one-off queries use a local.
 //  - A scratch is graph-agnostic: arrays grow to the largest graph seen and
 //    are epoch-reset per query, so one scratch can serve queries on
 //    different graphs.

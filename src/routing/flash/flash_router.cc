@@ -15,21 +15,22 @@ FlashRouter::FlashRouter(const Graph& graph, const FeeSchedule& fees,
       rng_(config.seed) {}
 
 RouteResult FlashRouter::route(const Transaction& tx, NetworkState& state) {
+  Workspace& w = ws();
   if (routes_as_elephant(tx.amount)) {
     ElephantConfig ec;
     ec.max_paths = config_.k_elephant_paths;
     ec.optimize_fees = config_.optimize_fees;
     ec.open_mask = open_mask_;
     ec.max_hops = config_.max_route_hops;
-    RouteResult r = route_elephant(*graph_, tx, state, *fees_, ec, scratch_,
-                                   probe_buf_, split_ws_);
+    RouteResult r = route_elephant(*graph_, tx, state, *fees_, ec, w.scratch,
+                                   w.probe, w.split);
     r.elephant = is_elephant(tx.amount);
     return r;
   }
   RouteResult r =
       config_.mice_selection == MiceSelection::kWaterfill
-          ? route_mice_waterfill(*graph_, tx, state, *fees_, table_, scratch_)
-          : route_mice(*graph_, tx, state, *fees_, table_, rng_, scratch_);
+          ? route_mice_waterfill(*graph_, tx, state, *fees_, table_, w.scratch)
+          : route_mice(*graph_, tx, state, *fees_, table_, rng_, w.scratch);
   r.elephant = false;
   return r;
 }
@@ -45,6 +46,13 @@ bool FlashRouter::borrow_prefetch(Router& lender) {
   auto* flash = dynamic_cast<FlashRouter*>(&lender);
   if (!flash || flash == this || !flash->table_.prefetcher()) return false;
   table_.borrow_prefetch(*flash->table_.prefetcher());
+  return true;
+}
+
+bool FlashRouter::borrow_workspace(Router& lender) {
+  auto* flash = dynamic_cast<FlashRouter*>(&lender);
+  if (!flash || flash == this) return false;
+  borrowed_ws_ = &flash->ws();
   return true;
 }
 

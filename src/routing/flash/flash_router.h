@@ -103,6 +103,8 @@ class FlashRouter : public Router {
   void reseed(std::uint64_t seed) override {
     rng_ = Rng(seed * 0x9e3779b9ULL + 7);
   }
+  /// Shares the search, probe and LP workspaces of `lender`, a FlashRouter.
+  bool borrow_workspace(Router& lender) override;
 
   /// Pins the mice-order shuffle (the router's only route-time randomness)
   /// to the payment's logical index; same mixing as reseed so one payment
@@ -147,10 +149,15 @@ class FlashRouter : public Router {
   Rng rng_;
   // Per-router workspaces so a long simulation performs no graph-algorithm
   // or fee-LP allocations after warm-up. Same thread affinity as the
-  // router itself.
-  GraphScratch scratch_;
-  ElephantProbeResult probe_buf_;
-  SplitWorkspace split_ws_;
+  // router itself. A borrower routes in its lender's; its own stay empty.
+  struct Workspace {
+    GraphScratch scratch;
+    ElephantProbeResult probe;
+    SplitWorkspace split;
+  };
+  Workspace& ws() noexcept { return borrowed_ws_ ? *borrowed_ws_ : ws_; }
+  Workspace ws_;
+  Workspace* borrowed_ws_ = nullptr;
 };
 
 }  // namespace flash

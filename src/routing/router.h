@@ -88,6 +88,13 @@ class Router {
   /// stream (the scenario engine reseeds per (sender, view version)).
   virtual void reseed(std::uint64_t /*seed*/) {}
 
+  /// Routes in the search and LP workspaces of `lender`, a router of the
+  /// same kind, from now on; its own stay empty. Exact: every workspace
+  /// field is reset per call. Sharers route one at a time on one thread,
+  /// and `lender` outlives this router. Returns whether the borrow took
+  /// (default: never).
+  virtual bool borrow_workspace(Router& /*lender*/) { return false; }
+
   // --- Lookahead prefetch (sequential scenario engine) -------------------
   //
   // The engine can show a router the payments it will route next. A router

@@ -19,14 +19,21 @@ const Path& ShortestPathRouter::shortest_path(NodeId s, NodeId t) {
     Path p;
     if (open_mask_) {
       const unsigned char* mask = open_mask_;
-      bfs_path_core(*graph_, s, t, scratch_,
+      bfs_path_core(*graph_, s, t, scratch(),
                     [mask](EdgeId e) { return mask[e] != 0; }, p);
     } else {
-      bfs_path_core(*graph_, s, t, scratch_, AdmitAll{}, p);
+      bfs_path_core(*graph_, s, t, scratch(), AdmitAll{}, p);
     }
     it = cache_.emplace(key, std::move(p)).first;
   }
   return it->second;
+}
+
+bool ShortestPathRouter::borrow_workspace(Router& lender) {
+  auto* sp = dynamic_cast<ShortestPathRouter*>(&lender);
+  if (!sp || sp == this) return false;
+  borrowed_ = &sp->scratch();
+  return true;
 }
 
 std::size_t ShortestPathRouter::apply_topology_delta(

@@ -36,6 +36,8 @@ class ShortestPathRouter : public Router {
   std::size_t apply_topology_delta(std::span<const EdgeId> closed,
                                    std::span<const EdgeId> reopened,
                                    bool strict) override;
+  /// Searches in the scratch `lender` (a ShortestPathRouter) searches in.
+  bool borrow_workspace(Router& lender) override;
 
  private:
   const Graph* graph_;
@@ -45,6 +47,8 @@ class ShortestPathRouter : public Router {
   /// Shortest paths are static given the topology, so cache per pair.
   std::unordered_map<std::uint64_t, Path> cache_;
   GraphScratch scratch_;  // BFS workspace for cache misses
+  GraphScratch* borrowed_ = nullptr;  // the lender's (borrow_workspace)
+  GraphScratch& scratch() { return borrowed_ ? *borrowed_ : scratch_; }
 
   const Path& shortest_path(NodeId s, NodeId t);
 };

@@ -19,7 +19,7 @@ const std::vector<Path>& SpiderRouter::paths_for(NodeId s, NodeId t) {
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     std::vector<Path> paths;
-    edge_disjoint_core(*graph_, s, t, config_.num_paths, scratch_, paths,
+    edge_disjoint_core(*graph_, s, t, config_.num_paths, scratch(), paths,
                        open_mask_);
     if (config_.max_hops != 0) {
       std::erase_if(paths, [this](const Path& p) {
@@ -29,6 +29,13 @@ const std::vector<Path>& SpiderRouter::paths_for(NodeId s, NodeId t) {
     it = cache_.emplace(key, std::move(paths)).first;
   }
   return it->second;
+}
+
+bool SpiderRouter::borrow_workspace(Router& lender) {
+  auto* spider = dynamic_cast<SpiderRouter*>(&lender);
+  if (!spider || spider == this) return false;
+  borrowed_ = &spider->scratch();
+  return true;
 }
 
 std::size_t SpiderRouter::apply_topology_delta(std::span<const EdgeId> closed,

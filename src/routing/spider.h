@@ -45,6 +45,8 @@ class SpiderRouter : public Router {
   std::size_t apply_topology_delta(std::span<const EdgeId> closed,
                                    std::span<const EdgeId> reopened,
                                    bool strict) override;
+  /// Searches in the scratch `lender` (a SpiderRouter) searches in.
+  bool borrow_workspace(Router& lender) override;
 
   /// Waterfilling split of `demand` across paths with available capacities
   /// `caps`: repeatedly pours into the path(s) with the most remaining
@@ -61,6 +63,8 @@ class SpiderRouter : public Router {
   /// Edge-disjoint shortest paths are static per pair; cache them.
   std::unordered_map<std::uint64_t, std::vector<Path>> cache_;
   GraphScratch scratch_;  // path-search workspace for cache misses
+  GraphScratch* borrowed_ = nullptr;  // the lender's (borrow_workspace)
+  GraphScratch& scratch() { return borrowed_ ? *borrowed_ : scratch_; }
 
   const std::vector<Path>& paths_for(NodeId s, NodeId t);
 };

@@ -15,11 +15,10 @@ namespace flash {
 // (oracle) mode `local` is the sender's materialized gossip view and
 // `to_physical` maps each local directed edge to the corresponding
 // ground-truth edge (orientation preserved). In incremental mode the
-// routing surface is the engine's shared full-shape view graph instead
-// and the per-sender state shrinks to an open-edge mask; `graph`/
-// `to_phys`/`phys_map` point at whichever of the two applies. `mirror` is
-// a ledger over the routing graph that is re-synced from the truth before
-// every payment and mirrored back after settlement.
+// routing surface is the engine's shared full-shape view graph and mirror
+// instead, and the per-sender state shrinks to an open-edge mask and the
+// router; `graph`/`to_phys`/`phys_map`/`mirror` point at whichever of the
+// two applies.
 struct ScenarioEngine::SenderContext : SenderCacheable {
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
@@ -31,25 +30,20 @@ struct ScenarioEngine::SenderContext : SenderCacheable {
   // Inverse of to_physical: physical edge -> local edge + 1 (0 = not in
   // this sender's view). Lets journal replay translate truth changes.
   std::vector<std::uint32_t> phys_to_local;
-  // Routing surface selectors: &local/&to_physical/&phys_to_local in
-  // oracle mode, the engine's shared view-graph members in incremental.
+  Mirror own_mirror;
+  // Routing surface selectors: the oracle-mode storage above, or the
+  // engine's shared view-graph members in incremental mode.
   const Graph* graph = nullptr;
   const std::vector<EdgeId>* to_phys = nullptr;
   const std::vector<std::uint32_t>* phys_map = nullptr;
+  Mirror* mirror = nullptr;
   // Incremental mode: per-directed-edge open flags over the shared graph.
   std::vector<unsigned char> open_mask;
   // Set when a cache eviction recycles this slot for a different sender:
   // the mask and router caches belong to someone else, so the next use
   // must rebuild them from the new sender's view — never patch.
   bool recycled = false;
-  std::unique_ptr<NetworkState> mirror;
   std::unique_ptr<Router> router;
-  std::vector<Amount> synced;  // truth balances at the last pre-route sync
-  // Position in the engine's truth journal this mirror has replayed up
-  // to, valid for journal generation `journal_gen` (0 = never synced;
-  // engine generations start at 1, so a fresh context always full-syncs).
-  std::size_t journal_pos = 0;
-  std::uint64_t journal_gen = 0;
   // view_diverged memo, valid for one (truth, view) version pair.
   std::uint64_t div_truth_version = kNever;
   std::uint64_t div_view_version = kNever;
@@ -643,10 +637,11 @@ void ScenarioEngine::attempt_payment(std::size_t tx_index,
     // stale. A truth-closed channel the view still believes in carries
     // balance 0 — sends over it fail, probes report it dead.
     sync_context(ctx);
+    NetworkState& mirror = *ctx.mirror->ledger;
     if (cfg_.payment_indexed_rng) {
       ctx.router->begin_payment(payment_rng_seed(tx_index, attempt));
     }
-    r = ctx.router->route(tx, *ctx.mirror);
+    r = ctx.router->route(tx, mirror);
     // With the lifecycle active the mirror is armed too: drain its queued
     // settlements into the staging buffers (translating view edges to
     // physical) and abort the mirror holds — net-zero on the mirror, so
@@ -654,8 +649,8 @@ void ScenarioEngine::attempt_payment(std::size_t tx_index,
     // actual locks re-stage hop by hop on the TRUTH in begin_part, where
     // concurrent in-flight escrow the stale view never saw can refuse
     // them.
-    if (htlc_active_ && r.success) stage_htlc_parts(*ctx.mirror, ctx.to_phys);
-    if (ctx.mirror->active_holds() != 0) {
+    if (htlc_active_ && r.success) stage_htlc_parts(mirror, ctx.to_phys);
+    if (mirror.active_holds() != 0) {
       throw std::logic_error("scenario: router " + ctx.router->name() +
                              " leaked holds after tx " +
                              std::to_string(tx_index));
@@ -666,14 +661,14 @@ void ScenarioEngine::attempt_payment(std::size_t tx_index,
     // construction (commit credits what hold debited), which the periodic
     // invariant sweep verifies.
     const std::vector<EdgeId>& to_phys = *ctx.to_phys;
-    for (const EdgeId le : ctx.mirror->change_log()) {
-      const Amount nb = ctx.mirror->balance(le);
-      if (nb != ctx.synced[le]) {
+    for (const EdgeId le : mirror.change_log()) {
+      const Amount nb = mirror.balance(le);
+      if (nb != ctx.mirror->synced[le]) {
         truth_.mirror_balance(to_phys[le], nb);
         record_truth_change(to_phys[le]);
       }
     }
-    ctx.mirror->clear_change_log();
+    mirror.clear_change_log();
     diverged = view_diverged(ctx, tx.sender);
   }
 
@@ -1325,16 +1320,17 @@ void ScenarioEngine::conclude_htlc(std::size_t tx_index) {
 void ScenarioEngine::sync_context(SenderContext& ctx) {
   const std::size_t local_edges = ctx.graph->num_edges();
   const std::vector<EdgeId>& to_phys = *ctx.to_phys;
-  if (ctx.journal_gen != journal_gen_) {
-    // Full resync: fresh/rebuilt context, rebalance drift, or journal
-    // overflow. O(local_edges), the pre-journal cost of EVERY sync.
-    ctx.synced.resize(local_edges);
+  Mirror& m = *ctx.mirror;
+  if (m.journal_gen != journal_gen_) {
+    // Full resync: new mirror, rebalance drift, or journal overflow.
+    // O(local_edges), the pre-journal cost of EVERY sync.
+    m.synced.resize(local_edges);
     for (EdgeId e = 0; e < local_edges; ++e) {
-      ctx.synced[e] = truth_.balance(to_phys[e]);
+      m.synced[e] = truth_.balance(to_phys[e]);
     }
-    ctx.mirror->assign_balances(ctx.synced);
-    ctx.journal_gen = journal_gen_;
-    ctx.journal_pos = truth_journal_.size();
+    m.ledger->assign_balances(m.synced);
+    m.journal_gen = journal_gen_;
+    m.journal_pos = truth_journal_.size();
     return;
   }
   // Replay the journal suffix this mirror has not seen. Edges outside the
@@ -1342,13 +1338,13 @@ void ScenarioEngine::sync_context(SenderContext& ctx) {
   // loop every local edge equals the truth again: untouched edges were
   // already equal, and every touched edge is in the journal.
   const std::vector<std::uint32_t>& phys_map = *ctx.phys_map;
-  for (; ctx.journal_pos < truth_journal_.size(); ++ctx.journal_pos) {
-    const EdgeId phys = truth_journal_[ctx.journal_pos];
+  for (; m.journal_pos < truth_journal_.size(); ++m.journal_pos) {
+    const EdgeId phys = truth_journal_[m.journal_pos];
     const std::uint32_t le1 = phys_map[phys];
     if (le1 == 0) continue;
     const Amount b = truth_.balance(phys);
-    ctx.synced[le1 - 1] = b;
-    ctx.mirror->mirror_balance(le1 - 1, b);
+    m.synced[le1 - 1] = b;
+    m.ledger->mirror_balance(le1 - 1, b);
   }
 }
 
@@ -1720,7 +1716,8 @@ ScenarioEngine::SenderContext& ScenarioEngine::context_for(NodeId sender) {
       // capacities (graph vectors, edge maps, synced balances). In
       // incremental mode the router object itself is reusable (a strict
       // clear + reseed + mask rebuild is equivalent to constructing it
-      // fresh), so only flag it; never patch from another sender's state.
+      // fresh) and the mirror is the shared one, so only flag it; never
+      // patch from another sender's state.
       if (incremental_) {
         static_cast<SenderContext&>(*slot).recycled = true;
       } else {
@@ -1750,7 +1747,7 @@ void ScenarioEngine::rebuild_context(SenderContext& ctx, NodeId sender) {
   const Graph& pg = workload_->graph();
   // Old router/mirror reference the old local graph: drop them first.
   ctx.router.reset();
-  ctx.mirror.reset();
+  ctx.own_mirror.ledger.reset();
 
   Graph local(pg.num_nodes());
   ctx.to_physical.clear();
@@ -1785,10 +1782,11 @@ void ScenarioEngine::rebuild_context(SenderContext& ctx, NodeId sender) {
   }
   ctx.fees = std::move(fees);
 
-  ctx.mirror = std::make_unique<NetworkState>(ctx.local);
+  Mirror& m = ctx.own_mirror;
+  m.ledger = std::make_unique<NetworkState>(ctx.local);
   // Mirrors route for a timed lifecycle too: queue their settlements so
   // stage_htlc_parts can re-stage them on the truth instead.
-  if (htlc_active_) ctx.mirror->arm_deferred_settlement();
+  if (htlc_active_) m.ledger->arm_deferred_settlement();
   // Stale-view routers recompute exhausted table entries: under churn an
   // entry whose every path died must not pin failure until the next view
   // refresh.
@@ -1806,12 +1804,13 @@ void ScenarioEngine::rebuild_context(SenderContext& ctx, NodeId sender) {
     ctx.phys_to_local[ctx.to_physical[le]] =
         static_cast<std::uint32_t>(le) + 1;
   }
-  ctx.mirror->enable_change_log();
-  ctx.journal_gen = 0;
-  ctx.journal_pos = 0;
+  m.ledger->enable_change_log();
+  m.journal_gen = 0;
+  m.journal_pos = 0;
   ctx.graph = &ctx.local;
   ctx.to_phys = &ctx.to_physical;
   ctx.phys_map = &ctx.phys_to_local;
+  ctx.mirror = &ctx.own_mirror;
   ctx.recycled = false;
 }
 
@@ -1848,6 +1847,9 @@ void ScenarioEngine::build_view_graph() {
     view_phys_to_local_[view_to_physical_[le]] =
         static_cast<std::uint32_t>(le) + 1;
   }
+  view_mirror_.ledger = std::make_unique<NetworkState>(view_graph_);
+  view_mirror_.ledger->enable_change_log();
+  if (htlc_active_) view_mirror_.ledger->arm_deferred_settlement();
 }
 
 std::unique_ptr<Router> ScenarioEngine::make_view_router(
@@ -1900,6 +1902,7 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
   ctx.graph = &view_graph_;
   ctx.to_phys = &view_to_physical_;
   ctx.phys_map = &view_phys_to_local_;
+  ctx.mirror = &view_mirror_;
 
   fill_view_mask(sender, ctx.open_mask);
 
@@ -1912,21 +1915,12 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
   } else {
     ctx.router = make_view_router(context_router_seed(sender));
     if (view_prefetcher_) ctx.router->borrow_prefetch(*view_prefetcher_);
+    ctx.router->borrow_workspace(*base_router_);
   }
   ctx.router->set_open_mask(ctx.open_mask.data());
-
-  if (!ctx.mirror) {
-    ctx.mirror = std::make_unique<NetworkState>(view_graph_);
-    ctx.mirror->enable_change_log();
-    if (htlc_active_) ctx.mirror->arm_deferred_settlement();
-  } else {
-    ctx.mirror->clear_change_log();
-  }
   ctx.view_version = gossip_.view_version(sender);
   ctx.div_truth_version = SenderContext::kNever;
   ctx.div_view_version = SenderContext::kNever;
-  ctx.journal_gen = 0;
-  ctx.journal_pos = 0;
   ctx.recycled = false;
 }
 

@@ -40,9 +40,11 @@
 //   - Gossip views share one bootstrap baseline (see gossip/node_view.h):
 //     O(channels) total, not O(nodes x channels).
 //   - Per-sender routing state lives in a bounded LRU
-//     (ScenarioConfig::max_sender_routers = K): O(network x K), not
-//     O(network x senders). K = 0 keeps the original unbounded behavior.
-//   - Mirror ledgers resync from the truth via change journals (O(edges
+//     (ScenarioConfig::max_sender_routers = K; 0 = unbounded). Under
+//     incremental maintenance a sender keeps only its open mask, routing
+//     table and RNG: all share one mirror ledger and the pristine router's
+//     workspaces. A full rebuild keeps O(network) state per sender.
+//   - Mirror ledgers resync from the truth via a change journal (O(edges
 //     actually touched) per payment) instead of full O(network) sweeps.
 #pragma once
 
@@ -469,11 +471,22 @@ class ScenarioEngine {
   ScenarioResult run();
 
  private:
-  // The per-sender stale routing state: the sender's materialized view
-  // graph, the fee schedule and router over it, a mirror ledger synced
-  // from the truth before every payment, and the view-edge -> truth-edge
-  // map used to mirror settlement back. Heap-allocated so the Graph (and
-  // everything pointing into it) has a stable address.
+  // A ledger over a routing graph, made equal to the truth on every
+  // routing edge before each route (sync_context) and written back after.
+  struct Mirror {
+    std::unique_ptr<NetworkState> ledger;
+    std::vector<Amount> synced;  // truth balances at the last sync
+    // truth_journal_ position replayed up to, valid for generation
+    // journal_gen (0 = never synced: engine generations start at 1).
+    std::size_t journal_pos = 0;
+    std::uint64_t journal_gen = 0;
+  };
+
+  // The per-sender stale routing state: a router over the sender's view
+  // and the mirror it routes against (its own, over its own materialized
+  // view graph, under a full rebuild; view_mirror_ under incremental
+  // maintenance). Heap-allocated so the Graph (and everything pointing
+  // into it) has a stable address.
   struct SenderContext;
 
   /// Delegation target of both public constructors: a non-null
@@ -648,7 +661,7 @@ class ScenarioEngine {
   /// The first close: ends the pristine era, builds the view graph for
   /// incremental maintenance and starts its prefetch.
   void end_pristine_era();
-  /// Builds view_graph_, view_fees_ and the view <-> truth edge maps.
+  /// Builds view_graph_, view_fees_, the edge maps and view_mirror_.
   void build_view_graph();
   /// A stale-view router over view_graph_ (incremental maintenance).
   std::unique_ptr<Router> make_view_router(std::uint64_t seed) const;
@@ -750,7 +763,9 @@ class ScenarioEngine {
   std::vector<Amount> initial_balance_;  // scaled; reopen deposits
   Amount class_threshold_ = 0;           // mice/elephant metric split
   Amount elephant_threshold_ = 0;        // Flash classification
-  std::unique_ptr<Router> base_router_;  // pristine-mode shared router
+  // Pristine-mode shared router; after the first close it routes nothing
+  // and lends its workspaces to every incremental context (outlives them).
+  std::unique_ptr<Router> base_router_;
 
   gossip::GossipNetwork gossip_;
   std::vector<std::uint64_t> channel_seq_;   // per-channel announcement seq
@@ -786,14 +801,17 @@ class ScenarioEngine {
   // "view graph" (every truth channel, added in the sorted (u, v) order
   // for_each_open emits) with per-sender open-edge masks. The fee schedule
   // and the view-edge <-> truth-edge maps are identical across senders and
-  // shared too; per-sender state shrinks to mask + mirror + router. All of
-  // it is built at the first close (build_view_graph).
+  // shared too, and so is the mirror, which equals the truth at every
+  // route (docs/ARCHITECTURE.md, "Incremental router maintenance").
+  // Per-sender state shrinks to mask + router. All of it is built at the
+  // first close (build_view_graph).
   bool incremental_ = false;
   Graph view_graph_;
   FeeSchedule view_fees_;
   std::vector<EdgeId> view_to_physical_;          // view edge -> truth edge
   std::vector<std::uint32_t> view_phys_to_local_; // truth edge -> view edge+1
   std::vector<std::size_t> truth_to_view_channel_;
+  Mirror view_mirror_;
   std::vector<EdgeId> closed_buf_, reopened_buf_; // patch delta scratch
   // Created once, at the first close (sequential execution, incremental
   // Flash maintenance, >= 2 hardware threads): a router over view_graph_

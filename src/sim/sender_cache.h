@@ -1,17 +1,17 @@
 // Bounded LRU cache of per-sender routing state for the scenario engine.
 //
-// Under churn every sender routes with its OWN stale-view router over a
-// mirror ledger — state that costs O(network) per sender. Keeping one
-// forever per sender (the original design) is O(network x senders), which
-// caps the engine at testbed scale. This cache bounds the live set to the
-// K most-recently-active senders: a payment from a cached sender reuses
-// its state (hit), an uncached sender evicts the least-recently-used
-// entry and RECYCLES its allocation (the rebuild overwrites every field,
-// so the evictee's buffer capacities — graph vectors, edge maps, synced
-// balances — carry over instead of being reallocated). With Zipf-skewed
-// sender activity (the paper's workloads) a small K yields high hit
-// rates; capacity 0 means unbounded, which preserves the original
-// one-context-per-sender behavior bit-for-bit.
+// Under churn every sender routes with its OWN stale-view router. A full
+// rebuild gives each one a compacted view graph, mirror ledger and
+// workspaces: O(network) per sender, O(network x senders) if kept forever
+// (the original design). Under incremental maintenance a sender keeps
+// only an open mask (one byte per view edge) and its routing table. This
+// cache bounds the live set to the K most-recently-active senders: a
+// payment from a cached sender reuses its state (hit), an uncached sender
+// evicts the least-recently-used entry and RECYCLES its allocation (the
+// rebuild overwrites every field, so buffer capacities carry over instead
+// of being reallocated). With Zipf-skewed sender activity (the paper's
+// workloads) a small K yields high hit rates; capacity 0 means unbounded,
+// which preserves the original one-context-per-sender behavior bit-for-bit.
 #pragma once
 
 #include <cstddef>

@@ -276,6 +276,34 @@ TEST(AllocationFree, RouteElephantSequentialFallbackPath) {
   });
 }
 
+TEST(AllocationFree, BorrowedWorkspaceFirstElephant) {
+  // A stale-view router of the scenario engine routes in the warm
+  // workspaces of the idle pristine router (Router::borrow_workspace), so
+  // a freshly built router's first elephant allocates nothing: no scratch
+  // arrays, probe buffers or LP tableau of its own to grow.
+  SplitFixture f;
+  FlashConfig config;
+  config.elephant_threshold = 1;  // every payment is an elephant
+  FlashRouter lender(f.g, f.fees, config);
+  const NetworkState::Snapshot snap = f.state.snapshot();
+  Transaction tx{11, 377, 0, 0};
+  tx.amount = f.demand;
+  for (int i = 0; i < 2; ++i) {  // warm the lender and the ledger
+    f.state.restore(snap);
+    EXPECT_TRUE(lender.route(tx, f.state).success);
+  }
+
+  FlashRouter borrower(f.g, f.fees, config);
+  ASSERT_TRUE(borrower.borrow_workspace(lender));
+  f.state.restore(snap);
+  const std::uint64_t before = allocations();
+  const RouteResult r = borrower.route(tx, f.state);
+  const std::uint64_t after = allocations();
+  EXPECT_TRUE(r.success);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations in the borrower's first elephant";
+}
+
 // --- Incremental maintenance patch path -----------------------------------
 //
 // The scenario engine's steady-state reaction to a gossip view bump is:

@@ -16,6 +16,14 @@
 //   - kIncrementalLazy must always be deterministic: two runs with the
 //     same seed agree on everything (the Flash caveat is "not identical to
 //     a fresh rebuild", never "nondeterministic").
+//   - Under the timed HTLC lifecycle (hop latency, timelocks, a close
+//     burst) strict must still match the oracle, HTLC counters included:
+//     the shared mirror of the incremental engine is armed for deferred
+//     settlement and syncs the truth writes of in-flight hops.
+//
+// The incremental engine's stale-view routers also share one set of
+// workspaces (Router::borrow_workspace); BorrowedWorkspace pins that
+// sharing routers route exactly like routers with their own.
 //
 // Failures print the scenario seed, the full knob vector, and the minimal
 // payment prefix that still reproduces the divergence (linear shrink over
@@ -23,10 +31,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "graph/topology.h"
 #include "sim/scenario.h"
 #include "testutil.h"
 #include "trace/workload.h"
@@ -53,6 +63,13 @@ struct FuzzKnobs {
   std::size_t max_retries = 0;
   std::size_t max_sender_routers = 0;  // 0 = unbounded LRU
   double rebalance_interval = 0;
+  // Timed HTLC lifecycle and close burst (all zero = off).
+  double hop_latency = 0;
+  double timelock_delta = 0;
+  double timelock_budget = 0;
+  std::size_t burst_channels = 0;
+  double burst_time = 0;
+  double burst_reopen_after = 0;
 
   std::string describe() const {
     std::ostringstream os;
@@ -63,7 +80,13 @@ struct FuzzKnobs {
        << " mean_downtime=" << mean_downtime << " hop_delay=" << hop_delay
        << " max_retries=" << max_retries
        << " max_sender_routers=" << max_sender_routers
-       << " rebalance_interval=" << rebalance_interval;
+       << " rebalance_interval=" << rebalance_interval
+       << " hop_latency=" << hop_latency
+       << " timelock_delta=" << timelock_delta
+       << " timelock_budget=" << timelock_budget
+       << " burst_channels=" << burst_channels
+       << " burst_time=" << burst_time
+       << " burst_reopen_after=" << burst_reopen_after;
     return os.str();
   }
 };
@@ -91,6 +114,48 @@ FuzzKnobs knobs_for(std::uint64_t index) {
   return k;
 }
 
+/// An HTLC scenario: Flash or SP under the timed lifecycle, with and
+/// without a timelock, churn with reopens, gossip delay, retries, a close
+/// burst on every other scenario and K in {0, 3}.
+FuzzKnobs htlc_knobs_for(std::uint64_t index) {
+  std::uint64_t state = 0x417cu ^ (index * 0x9e3779b97f4a7c15ULL);
+  const auto pick = [&state](std::uint64_t n) {
+    return splitmix64(state) % n;
+  };
+  FuzzKnobs k;
+  k.seed = splitmix64(state);
+  k.scheme = (index % 2 == 0) ? Scheme::kFlash : Scheme::kShortestPath;
+  k.nodes = (pick(2) == 0) ? 24 : 40;
+  k.payments = (pick(2) == 0) ? 150 : 250;
+  k.capacity_scale = (pick(2) == 0) ? 1.0 : 2.5;
+  const double close_rates[] = {0.02, 0.08, 0.3};
+  k.close_rate = close_rates[pick(3)];
+  k.mean_downtime = 30.0;
+  const double hop_delays[] = {0.0, 2.0, 7.0};
+  k.hop_delay = hop_delays[pick(3)];
+  k.max_retries = (pick(2) == 0) ? 0 : 2;
+  k.max_sender_routers = (pick(2) == 0) ? 0 : 3;
+  k.rebalance_interval = (pick(4) == 0) ? 50.0 : 0.0;
+  k.hop_latency = (pick(2) == 0) ? 0.5 : 2.0;
+  switch (pick(3)) {
+    case 0:  // no timelock
+      break;
+    case 1:  // expiries possible: a round trip outlasts the timelock
+      k.timelock_delta = 3.0;
+      break;
+    default:  // a timelock budget that caps routes at 4 hops
+      k.timelock_delta = 3.0;
+      k.timelock_budget = 12.0;
+      break;
+  }
+  if (index % 2 == 1 || pick(2) == 0) {
+    k.burst_channels = 4;
+    k.burst_time = 40.0;
+    k.burst_reopen_after = (pick(2) == 0) ? 0.0 : 25.0;
+  }
+  return k;
+}
+
 ScenarioConfig scenario_config(const FuzzKnobs& k, RouterMaintenance mode) {
   ScenarioConfig cfg;
   cfg.retry.max_retries = k.max_retries;
@@ -100,6 +165,12 @@ ScenarioConfig scenario_config(const FuzzKnobs& k, RouterMaintenance mode) {
   cfg.gossip.hop_delay = k.hop_delay;
   cfg.max_sender_routers = k.max_sender_routers;
   cfg.rebalance.interval = k.rebalance_interval;
+  cfg.htlc.hop_latency = k.hop_latency;
+  cfg.htlc.timelock_delta = k.timelock_delta;
+  cfg.htlc.timelock_budget = k.timelock_budget;
+  cfg.fault.burst_channels = k.burst_channels;
+  cfg.fault.burst_time = k.burst_time;
+  cfg.fault.burst_reopen_after = k.burst_reopen_after;
   cfg.maintenance = mode;
   return cfg;
 }
@@ -146,6 +217,18 @@ void expect_results_identical(const ScenarioResult& oracle,
   EXPECT_EQ(oracle.router_cache_misses, got.router_cache_misses);
   EXPECT_EQ(oracle.router_cache_evictions, got.router_cache_evictions);
   EXPECT_EQ(oracle.duration, got.duration);
+  EXPECT_EQ(oracle.htlc_payments, got.htlc_payments);
+  EXPECT_EQ(oracle.htlc_inflight_failures, got.htlc_inflight_failures);
+  EXPECT_EQ(oracle.htlc_expiries, got.htlc_expiries);
+  EXPECT_EQ(oracle.htlc_offline_failures, got.htlc_offline_failures);
+  EXPECT_EQ(oracle.htlc_holder_delays, got.htlc_holder_delays);
+  EXPECT_EQ(oracle.htlc_max_inflight, got.htlc_max_inflight);
+  EXPECT_EQ(oracle.htlc_onchain_settled_hops, got.htlc_onchain_settled_hops);
+  EXPECT_EQ(oracle.htlc_onchain_refunded_hops,
+            got.htlc_onchain_refunded_hops);
+  EXPECT_EQ(oracle.htlc_break_failures, got.htlc_break_failures);
+  EXPECT_EQ(oracle.rebalance_skipped_channels, got.rebalance_skipped_channels);
+  EXPECT_EQ(oracle.fault_channel_closes, got.fault_channel_closes);
 }
 
 bool digests_equal(const ScenarioResult& a, const ScenarioResult& b) {
@@ -166,8 +249,10 @@ std::size_t minimal_failing_prefix(const Workload& w, const FuzzKnobs& k,
   return w.transactions().size();
 }
 
-void check_against_oracle(const Workload& w, const FuzzKnobs& k,
-                          RouterMaintenance mode, const char* mode_name) {
+/// Returns the oracle's result (for callers asserting on the scenario).
+ScenarioResult check_against_oracle(const Workload& w, const FuzzKnobs& k,
+                                    RouterMaintenance mode,
+                                    const char* mode_name) {
   const ScenarioResult oracle = run_mode(w, k, RouterMaintenance::kFullRebuild);
   const ScenarioResult got = run_mode(w, k, mode);
   if (!digests_equal(oracle, got)) {
@@ -176,7 +261,7 @@ void check_against_oracle(const Workload& w, const FuzzKnobs& k,
                   << "  minimal failing payment prefix: "
                   << minimal_failing_prefix(w, k, mode) << " of "
                   << w.transactions().size();
-    return;
+    return oracle;
   }
   SCOPED_TRACE(k.describe());
   expect_results_identical(oracle, got);
@@ -186,6 +271,7 @@ void check_against_oracle(const Workload& w, const FuzzKnobs& k,
   if (k.scheme != Scheme::kSpeedyMurmurs) {
     EXPECT_EQ(got.router_rebuilds, got.router_cache_misses);
   }
+  return oracle;
 }
 
 // --- The ≥200-scenario differential corpus -------------------------------
@@ -200,6 +286,23 @@ TEST(IncrementalFuzz, StrictMatchesOracleAcrossSeeds) {
         make_toy_workload(k.nodes, k.payments, /*seed=*/k.seed & 0xffff);
     check_against_oracle(w, k, RouterMaintenance::kIncrementalStrict,
                          "kIncrementalStrict");
+    if (HasFatalFailure()) return;
+  }
+}
+
+// Strict vs the oracle under the timed HTLC lifecycle: in-flight hops
+// write the truth between payments, deferred settlement is armed on every
+// mirror, and a close burst resolves in-flight HTLCs on-chain. 48 seeded
+// scenarios over Flash and SP; each must put payments in flight.
+TEST(IncrementalFuzz, HtlcStrictMatchesOracle) {
+  constexpr std::uint64_t kScenarios = 48;
+  for (std::uint64_t i = 0; i < kScenarios; ++i) {
+    const FuzzKnobs k = htlc_knobs_for(i);
+    const Workload w =
+        make_toy_workload(k.nodes, k.payments, /*seed=*/k.seed & 0xffff);
+    const ScenarioResult oracle = check_against_oracle(
+        w, k, RouterMaintenance::kIncrementalStrict, "kIncrementalStrict");
+    EXPECT_GT(oracle.htlc_payments, 0u) << k.describe();
     if (HasFatalFailure()) return;
   }
 }
@@ -278,6 +381,76 @@ TEST(IncrementalFuzz, SpeedyMurmursFallsBackToFullRebuild) {
       run_mode(w, k, RouterMaintenance::kIncrementalStrict);
   EXPECT_EQ(got.router_patches, 0u);
   EXPECT_GT(got.router_rebuilds, 0u);
+}
+
+// Three routers of one scheme, each under its own open mask like the
+// engine's stale-view senders, take turns on one ledger: once with the
+// two later routers borrowing the first one's workspaces, once with every
+// router owning its own. Every RouteResult and the final ledgers must be
+// bit-identical, elephants, mice, dead-path replacements and failures
+// included.
+TEST(BorrowedWorkspace, InterleavedRoutersMatchOwnWorkspaces) {
+  Rng rng(41);
+  const Graph g = scale_free(120, 480, rng);
+  const FeeSchedule fees = FeeSchedule::paper_default(g, rng);
+  std::vector<std::vector<unsigned char>> masks(
+      3, std::vector<unsigned char>(g.num_edges(), 1));
+  for (std::size_t r = 1; r < masks.size(); ++r) {
+    for (int i = 0; i < 24; ++i) {
+      const EdgeId e = g.channel_forward_edge(rng.next_below(g.num_channels()));
+      masks[r][e] = 0;
+      masks[r][g.reverse(e)] = 0;
+    }
+  }
+  std::vector<Transaction> txs;
+  while (txs.size() < 600) {
+    const auto s = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    const auto t = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    if (s != t) txs.push_back({s, t, rng.lognormal(3.0, 1.5), 0});
+  }
+  const Amount elephant_threshold = 150;  // roughly one payment in eight
+
+  for (const Scheme scheme :
+       {Scheme::kFlash, Scheme::kShortestPath, Scheme::kSpider}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    NetworkState shared_ws{g};
+    Rng brng(43);
+    shared_ws.assign_lognormal_split(400, 1.0, brng);
+    NetworkState own_ws{g};
+    own_ws.restore(shared_ws.snapshot());
+    std::vector<std::unique_ptr<Router>> sharing, owning;
+    for (std::size_t r = 0; r < masks.size(); ++r) {
+      for (auto* routers : {&sharing, &owning}) {
+        routers->push_back(
+            make_router(scheme, g, fees, elephant_threshold, {}, 7 + r));
+        routers->back()->set_open_mask(masks[r].data());
+      }
+      if (r > 0) {
+        ASSERT_TRUE(sharing[r]->borrow_workspace(*sharing[0]));
+      }
+    }
+    std::size_t successes = 0;
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+      const std::size_t r = i % masks.size();
+      const RouteResult a = sharing[r]->route(txs[i], shared_ws);
+      const RouteResult b = owning[r]->route(txs[i], own_ws);
+      SCOPED_TRACE(i);
+      ASSERT_EQ(a.success, b.success);
+      EXPECT_EQ(a.delivered, b.delivered);
+      EXPECT_EQ(a.fee, b.fee);
+      EXPECT_EQ(a.probe_messages, b.probe_messages);
+      EXPECT_EQ(a.probes, b.probes);
+      EXPECT_EQ(a.paths_used, b.paths_used);
+      EXPECT_EQ(a.elephant, b.elephant);
+      successes += a.success ? 1 : 0;
+    }
+    // Both outcomes occur, so the comparison covers failures too.
+    EXPECT_GT(successes, txs.size() / 10);
+    EXPECT_LT(successes, txs.size());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(shared_ws.balance(e), own_ws.balance(e)) << "edge " << e;
+    }
+  }
 }
 
 }  // namespace

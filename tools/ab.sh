@@ -2,6 +2,7 @@
 # Interleaved before/after benchmark of one workload.
 #
 #   tools/ab.sh <base-ref> <workload> [pairs=10] [seed=1]
+#   tools/ab.sh <base-ref> <workload> <first-seed>-<last-seed>
 #
 # Compares the working tree this script lives in (the change) against
 # <base-ref> (the parent). A <base-ref> that names a directory is used as
@@ -11,7 +12,9 @@
 # --trace 0` alternately, <pairs> times, parent first on odd pairs and
 # change first on even ones, so drift on a noisy host lands on both sides
 # alike. run.py builds each tree's driver on first use, before it times
-# anything.
+# anything. A seed range such as 1201-1210 takes the place of the pairs
+# count: one pair per seed, parent first on odd seeds, so the quartiles
+# below are taken across seeds.
 #
 # For every end-to-end metric BENCHMARK.json names it prints both sides'
 # median and quartiles, how many pairs the change won (ties count for
@@ -22,21 +25,41 @@
 # and the medians differ, in the better direction, by more than the
 # parent's interquartile range. It also
 # prints each side's payment digests, which must agree for an
-# output-preserving change. Raw result lines are kept in a temporary
-# directory whose path is printed.
+# output-preserving change; over a seed range it names every seed whose
+# parent and change digests differ. Raw result lines are kept in a
+# temporary directory whose path is printed.
 #
 # A worktree is removed on exit; nothing under perfbench/ is edited.
 set -euo pipefail
 
-if [[ $# -lt 2 || $# -gt 4 ]]; then
+usage() {
   echo "usage: $0 <base-ref> <workload> [pairs=10] [seed=1]" >&2
+  echo "       $0 <base-ref> <workload> <first-seed>-<last-seed>" >&2
   exit 2
-fi
+}
+if [[ $# -lt 2 || $# -gt 4 ]]; then usage; fi
 BASE_REF="$1"
 WORKLOAD="$2"
 PAIRS="${3:-10}"
 SEED="${4:-1}"
 SECONDS_PER_RUN=30
+
+# SEEDS[i] is the seed of pair i + 1. The parent runs first when the pair
+# number is odd, or over a seed range when the seed is.
+SEEDS=()
+if [[ "${PAIRS}" =~ ^([0-9]+)-([0-9]+)$ ]]; then
+  if (($# > 3 || BASH_REMATCH[1] > BASH_REMATCH[2])); then usage; fi
+  SEED_RANGE="${PAIRS}"
+  for ((s = BASH_REMATCH[1]; s <= BASH_REMATCH[2]; ++s)); do
+    SEEDS+=("${s}")
+  done
+elif [[ "${PAIRS}" =~ ^[0-9]+$ && "${SEED}" =~ ^[0-9]+$ ]]; then
+  SEED_RANGE=""
+  for ((i = 0; i < PAIRS; ++i)); do SEEDS+=("${SEED}"); done
+else
+  usage
+fi
+PAIRS="${#SEEDS[@]}"
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 OUT_DIR="$(mktemp -d "${TMPDIR:-/tmp}/ab-runs.XXXXXX")"
@@ -55,30 +78,34 @@ else
     "${BASE_REF}"
 fi
 
-run_side() { # run_side NAME TREE PAIR
-  echo "pair $3: $1"
+run_side() { # run_side NAME TREE PAIR SEED
+  echo "pair $3 (seed $4): $1"
   (cd "$2" && python3 -B perfbench/run.py --workload "${WORKLOAD}" \
-    --seed "${SEED}" --seconds "${SECONDS_PER_RUN}" --trace 0) \
+    --seed "$4" --seconds "${SECONDS_PER_RUN}" --trace 0) \
     >"${OUT_DIR}/$1_$3.out"
 }
 
 for ((i = 1; i <= PAIRS; ++i)); do
-  if ((i % 2 == 1)); then
-    run_side parent "${BASE_TREE}" "${i}"
-    run_side change "${REPO_ROOT}" "${i}"
+  seed="${SEEDS[i - 1]}"
+  order_key="${i}"
+  if [[ -n "${SEED_RANGE}" ]]; then order_key="${seed}"; fi
+  if ((order_key % 2 == 1)); then
+    run_side parent "${BASE_TREE}" "${i}" "${seed}"
+    run_side change "${REPO_ROOT}" "${i}" "${seed}"
   else
-    run_side change "${REPO_ROOT}" "${i}"
-    run_side parent "${BASE_TREE}" "${i}"
+    run_side change "${REPO_ROOT}" "${i}" "${seed}"
+    run_side parent "${BASE_TREE}" "${i}" "${seed}"
   fi
 done
 
 python3 - "${REPO_ROOT}/BENCHMARK.json" "${OUT_DIR}" "${PAIRS}" \
-  "${WORKLOAD}" "${SEED}" "${BASE_REF}" <<'EOF'
+  "${WORKLOAD}" "${SEED}" "${BASE_REF}" "${SEED_RANGE}" "${SEEDS[*]}" <<'EOF'
 import json, statistics, sys
 from pathlib import Path
 
-spec_path, out, pairs, workload, seed, base_ref = sys.argv[1:]
-out, pairs = Path(out), int(pairs)
+spec_path, out, pairs, workload, seed, base_ref, seed_range, seeds = \
+    sys.argv[1:]
+out, pairs, seeds = Path(out), int(pairs), seeds.split()
 spec = json.loads(Path(spec_path).read_text())
 
 
@@ -100,8 +127,12 @@ def quartiles(xs):
 
 parent, change = load("parent"), load("change")
 print()
-print("workload %s, seed %s, %d pairs: parent %s vs the working tree"
-      % (workload, seed, pairs, base_ref))
+if seed_range:
+    print("workload %s, seeds %s, one pair per seed: parent %s vs the "
+          "working tree" % (workload, seed_range, base_ref))
+else:
+    print("workload %s, seed %s, %d pairs: parent %s vs the working tree"
+          % (workload, seed, pairs, base_ref))
 print("%-20s %-34s %-34s %13s %5s %6s %6s %5s"
       % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
          "change/parent", "wins", "bound", "spread", "claim"))
@@ -129,9 +160,16 @@ for m in spec["end_to_end"]:
              "%.3f" % (cmed / pmed) if pmed else "-",
              "%d/%d" % (wins, pairs), "ok" if within else "WORSE",
              "ok" if steady else "WIDE", "yes" if claim else "no"))
-for side, runs in (("parent", parent), ("change", change)):
-    digests = sorted({r[0]["digest"] for r in runs})
-    print("%s digest%s: %s" % (side, "" if len(digests) == 1 else "s",
-                               ", ".join(digests)))
+if seed_range:
+    differ = ["%s (parent %s, change %s)" % (s, p[0]["digest"], c[0]["digest"])
+              for s, p, c in zip(seeds, parent, change)
+              if p[0]["digest"] != c[0]["digest"]]
+    print("digests differ on %d of %d seeds%s"
+          % (len(differ), pairs, ": " + ", ".join(differ) if differ else ""))
+else:
+    for side, runs in (("parent", parent), ("change", change)):
+        digests = sorted({r[0]["digest"] for r in runs})
+        print("%s digest%s: %s" % (side, "" if len(digests) == 1 else "s",
+                                   ", ".join(digests)))
 EOF
 echo "raw runs: ${OUT_DIR}"
